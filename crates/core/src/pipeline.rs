@@ -41,7 +41,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use tie_tensor::linalg::{gemm_into_mapped, gemm_into_mapped_fused, DestMap};
+use tie_tensor::linalg::{gemm_into_mapped, DestMap};
 use tie_tensor::pipeline::PipelineHost;
 use tie_tensor::tile::Activation;
 use tie_tensor::{Result, Tensor, TensorError};
@@ -932,35 +932,27 @@ impl StageChain for FloatChain {
     ) -> Result<()> {
         let stage = &self.plan.stages()[idx];
         let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
-        if idx + 1 == self.plan.stages().len() {
-            // Final stage: the bias/activation epilogue fuses into the
-            // same store that assembles the output. The epilogue indexes
-            // the logical destination element, so chunking the batch
-            // cannot perturb it.
-            gemm_into_mapped_fused(
-                self.gtildes[stage.h - 1].data(),
-                &input[..k * cols * w],
-                &mut output[..rows * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                &self.dest_maps[idx],
-                self.bias.as_deref(),
-                self.activation,
-            )?;
+        // Final stage: the bias/activation epilogue fuses into the same
+        // store that assembles the output. The epilogue indexes the
+        // logical destination element, so chunking the batch cannot
+        // perturb it.
+        let (bias, act) = if idx + 1 == self.plan.stages().len() {
+            (self.bias.as_deref(), self.activation)
         } else {
-            gemm_into_mapped(
-                self.gtildes[stage.h - 1].data(),
-                &input[..k * cols * w],
-                &mut output[..rows * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                &self.dest_maps[idx],
-            )?;
-        }
+            (None, Activation::Identity)
+        };
+        gemm_into_mapped(
+            self.gtildes[stage.h - 1].data(),
+            &input[..k * cols * w],
+            &mut output[..rows * cols * w],
+            rows,
+            k,
+            cols,
+            w,
+            &self.dest_maps[idx],
+            bias,
+            act,
+        )?;
         report.mults += stage.muls() * w as u64;
         report.adds += stage.muls() * w as u64;
         // Unlike the one-GEMM-per-batch sequential pass, a pipelined stage

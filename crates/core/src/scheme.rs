@@ -6,7 +6,7 @@ use crate::transform::{
     assemble_output_gather, copy_gather_batched, prepare_input_scatter, unfold_core, TransformMap,
 };
 use std::sync::Mutex;
-use tie_tensor::linalg::{gemm_into, gemm_into_mapped, gemm_into_mapped_fused, DestMap};
+use tie_tensor::linalg::{gemm_into, gemm_into_mapped, DestMap};
 use tie_tensor::tile::Activation;
 use tie_tensor::{Result, Scalar, Tensor, TensorError};
 use tie_tt::inference::OpCount;
@@ -458,35 +458,28 @@ impl<T: Scalar> CompactEngine<T> {
             let stage = &self.plan.stages()[idx];
             let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
             let a = self.gtildes[h - 1].data();
-            let map = &self.dest_maps[idx];
-            if h >= 2 {
-                gemm_into_mapped(
-                    a,
-                    &cur[..k * cols * b],
-                    &mut nxt[..rows * cols * b],
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    map,
-                )?;
-                std::mem::swap(&mut cur, &mut nxt);
+            // Inner stages scatter into the next stage's input layout with
+            // no epilogue; the final stage (h = 1) writes `ys` in
+            // assembled order with bias + activation fused into the same
+            // store — one store per element either way.
+            let (out, bias, act) = if h >= 2 {
+                (&mut nxt[..rows * cols * b], None, Activation::Identity)
             } else {
-                // Final stage: bias + activation fuse into the same write
-                // loop that assembles the output — one store per element.
-                gemm_into_mapped_fused(
-                    a,
-                    &cur[..k * cols * b],
-                    ys,
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    map,
-                    self.bias.as_deref(),
-                    self.activation,
-                )?;
-            }
+                (&mut *ys, self.bias.as_deref(), self.activation)
+            };
+            gemm_into_mapped(
+                a,
+                &cur[..k * cols * b],
+                out,
+                rows,
+                k,
+                cols,
+                b,
+                &self.dest_maps[idx],
+                bias,
+                act,
+            )?;
+            std::mem::swap(&mut cur, &mut nxt);
             // Arithmetic scales with the batch; each core is streamed from
             // weight memory once per stage and reused across all B columns
             // (the paper's working-SRAM amortization).

@@ -48,7 +48,6 @@ pub use accumulator::Accumulator;
 pub use format::QFormat;
 pub use matmul::{
     alignment, qmatmul, qmatmul_into, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped,
-    qmatmul_raw_mapped_relu, qmatmul_raw_portable, qmatmul_raw_relu, qmatmul_raw_relu_portable,
     QMatmulReport, QuantPath,
 };
 pub use qtensor::QTensor;

@@ -36,20 +36,16 @@
 //!
 //! Epilogues ([`Requant`], [`RequantRelu`]) apply at the clipped `i32`
 //! code *before* narrowing, after both saturation counters have been
-//! taken — so [`qmatmul_raw_relu`] reports are bit-identical to
-//! requant-then-relu run separately.
+//! taken — so a [`qmatmul_raw_mapped`] call with `Activation::Relu` reports
+//! bit-identically to requant-then-relu run separately.
 
 use crate::{Accumulator, QFormat, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::tile::{
-    stream_gemm, Datapath, Dest, Epilogue, IntAuto, Mapped, PortableTile, Requant, RequantRelu,
-    RowMajor, SatSink, TileKernel,
+    stream_gemm, Activation, Datapath, Dest, Epilogue, IntAuto, Mapped, Requant, RequantRelu,
+    RowMajor, SatSink,
 };
 use tie_tensor::{Result, TensorError};
-
-/// Portable column-tile width (vectorizes to 128-bit lanes) — the pinned
-/// instantiation behind [`qmatmul_raw_portable`].
-const QTILE_J: usize = 8;
 
 /// Saturation diagnostics of one quantized matrix multiply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -212,11 +208,10 @@ impl Datapath for QuantPath {
     }
 }
 
-/// Drives one quantized streaming GEMM and folds the saturation totals
-/// into a [`QMatmulReport`].
+/// Drives one quantized streaming GEMM on the dispatched integer tile
+/// kernel and folds the saturation totals into a [`QMatmulReport`].
 #[allow(clippy::too_many_arguments)]
-fn qmm_stream<K: TileKernel, D: Dest, E: Epilogue<i32>>(
-    kern: K,
+fn qmm_stream<D: Dest, E: Epilogue<i32>>(
     a: &[i16],
     b: &[i16],
     codes: &mut [i16],
@@ -231,7 +226,7 @@ fn qmm_stream<K: TileKernel, D: Dest, E: Epilogue<i32>>(
 ) -> QMatmulReport {
     let (acc_saturations, out_saturations) = stream_gemm(
         QuantPath::new(prod_shift, out_shift),
-        kern,
+        IntAuto,
         a,
         b,
         codes,
@@ -369,7 +364,6 @@ pub fn qmatmul_raw(
     assert_eq!(b.len(), k * n, "B is k×n");
     assert_eq!(codes.len(), m * n, "C is m×n");
     qmm_stream(
-        IntAuto,
         a,
         b,
         codes,
@@ -384,121 +378,10 @@ pub fn qmatmul_raw(
     )
 }
 
-/// [`qmatmul_raw`] with ReLU fused into the requantization epilogue:
-/// `codes = max(requant(A · B), 0)`, applied at the clipped `i32` code
-/// before narrowing. Codes equal [`qmatmul_raw`]-then-`max(0)` and the
-/// saturation report is **bit-identical** to [`qmatmul_raw`]'s — both
-/// counters are taken before the epilogue runs.
-///
-/// # Panics
-///
-/// Panics (via `assert!`) on slice-length mismatches.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_relu(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-) -> QMatmulReport {
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×n");
-    assert_eq!(codes.len(), m * n, "C is m×n");
-    qmm_stream(
-        IntAuto,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n,
-        1,
-        prod_shift,
-        out_shift,
-        &RowMajor::new(m, n),
-        &RequantRelu,
-    )
-}
-
-/// [`qmatmul_raw`] pinned to the portable tile width, skipping the SIMD
-/// dispatch. The property suite compares it against the dispatched kernel
-/// and the naive reference to prove every tier computes the same codes and
-/// reports on this machine.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_portable(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-) -> QMatmulReport {
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×n");
-    assert_eq!(codes.len(), m * n, "C is m×n");
-    qmm_stream(
-        PortableTile::<QTILE_J, 1>,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n,
-        1,
-        prod_shift,
-        out_shift,
-        &RowMajor::new(m, n),
-        &Requant,
-    )
-}
-
-/// [`qmatmul_raw_relu`] pinned to the portable tile width, skipping the
-/// SIMD dispatch — the fused-ReLU twin of [`qmatmul_raw_portable`], for
-/// the differential lattice.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_relu_portable(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-) -> QMatmulReport {
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×n");
-    assert_eq!(codes.len(), m * n, "C is m×n");
-    qmm_stream(
-        PortableTile::<QTILE_J, 1>,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n,
-        1,
-        prod_shift,
-        out_shift,
-        &RowMajor::new(m, n),
-        &RequantRelu,
-    )
-}
-
-/// [`qmatmul_raw`] with a fused destination-map write epilogue — the
-/// quantized twin of `tie_tensor::linalg::gemm_into_mapped`, used by the
-/// quantized serving engine and the simulator's batched fast path to fold
-/// the inter-stage Transform into the store.
+/// Quantized stage GEMM with a fused destination-map write and
+/// activation epilogue — the one quantized entry the serving engine, the
+/// pipelined stage chain and the simulator's batched fast path call, and
+/// the quantized twin of `tie_tensor::linalg::gemm_into_mapped`.
 ///
 /// `b` is `k × (n_mat·bsz)` with logical columns batch-inner; output
 /// element `(i, q·bsz + cb)` lands at `(map.row[i] + map.col[q])·bsz + cb`
@@ -506,6 +389,12 @@ pub fn qmatmul_raw_relu_portable(
 /// order, same clamp points), only the final store is redirected, so codes
 /// *and* the saturation report are bit-identical to [`qmatmul_raw`]
 /// followed by a permutation, at any tile width and pool size.
+///
+/// `act` is applied at the clipped `i32` code before narrowing:
+/// `Activation::Relu` gives `max(requant(A · B), 0)`, the final TT stage's
+/// fused activation; inner stages pass `Activation::Identity`. Both
+/// saturation counters are taken before the epilogue runs, so the report
+/// does not depend on `act`.
 ///
 /// # Panics
 ///
@@ -523,6 +412,7 @@ pub fn qmatmul_raw_mapped(
     out_shift: u32,
     codes: &mut [i16],
     map: &DestMap,
+    act: Activation,
 ) -> QMatmulReport {
     let n = n_mat * bsz;
     assert!(bsz > 0, "batch width must be positive");
@@ -531,65 +421,25 @@ pub fn qmatmul_raw_mapped(
     assert_eq!(a.len(), m * k, "A is m×k");
     assert_eq!(b.len(), k * n, "B is k×(n_mat·bsz)");
     assert_eq!(codes.len(), m * n, "C is m×(n_mat·bsz)");
-    qmm_stream(
-        IntAuto,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n_mat,
-        bsz,
-        prod_shift,
-        out_shift,
-        &Mapped::new(map),
-        &Requant,
-    )
-}
-
-/// [`qmatmul_raw_mapped`] with ReLU fused into the requantization epilogue
-/// (see [`qmatmul_raw_relu`]) — the quantized engines' final-stage path,
-/// which folds the inter-stage Transform *and* the activation into one
-/// store loop. Report bit-identical to [`qmatmul_raw_mapped`]'s.
-///
-/// # Panics
-///
-/// Panics (via `assert!`) on slice-length / map-extent mismatches.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_mapped_relu(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n_mat: usize,
-    bsz: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-    map: &DestMap,
-) -> QMatmulReport {
-    let n = n_mat * bsz;
-    assert!(bsz > 0, "batch width must be positive");
-    assert_eq!(map.rows(), m, "map rows are m");
-    assert_eq!(map.cols(), n_mat, "map cols are n_mat");
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×(n_mat·bsz)");
-    assert_eq!(codes.len(), m * n, "C is m×(n_mat·bsz)");
-    qmm_stream(
-        IntAuto,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n_mat,
-        bsz,
-        prod_shift,
-        out_shift,
-        &Mapped::new(map),
-        &RequantRelu,
-    )
+    let dest = Mapped::new(map);
+    match act {
+        Activation::Identity => qmm_stream(
+            a, b, codes, m, k, n_mat, bsz, prod_shift, out_shift, &dest, &Requant,
+        ),
+        Activation::Relu => qmm_stream(
+            a,
+            b,
+            codes,
+            m,
+            k,
+            n_mat,
+            bsz,
+            prod_shift,
+            out_shift,
+            &dest,
+            &RequantRelu,
+        ),
+    }
 }
 
 /// Reference kernel with the naive per-output loop, kept for equivalence
@@ -738,53 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn portable_tile_matches_dispatched_kernel() {
-        // Same body, different tile width: must be bit-identical.
-        let mut rng = ChaCha8Rng::seed_from_u64(92);
-        let fmt = QFormat::new(4).unwrap();
-        let a: Tensor<f64> = init::uniform(&mut rng, vec![11, 17], 1700.0);
-        let b: Tensor<f64> = init::uniform(&mut rng, vec![17, 19], 1700.0);
-        let qa = QTensor::quantize(&a, fmt);
-        let qb = QTensor::quantize(&b, fmt);
-        let (ps, os) = alignment(fmt, fmt, QFormat::new(2).unwrap());
-        let mut c1 = vec![0i16; 11 * 19];
-        let mut c2 = vec![0i16; 11 * 19];
-        let r1 = qmatmul_raw(qa.codes(), qb.codes(), 11, 17, 19, ps, os, &mut c1);
-        let r2 = qmatmul_raw_portable(qa.codes(), qb.codes(), 11, 17, 19, ps, os, &mut c2);
-        assert_eq!(c1, c2);
-        assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn fused_relu_matches_requant_then_relu_with_saturation() {
-        // The fused epilogue must not disturb clamp points or counters:
-        // codes equal requant-then-max(0), reports equal the plain run's.
-        let mut rng = ChaCha8Rng::seed_from_u64(94);
-        let fmt = QFormat::new(4).unwrap();
-        let (m, k, n) = (9usize, 13usize, 11usize);
-        let a_f: Tensor<f64> = init::uniform(&mut rng, vec![m, k], 1800.0);
-        let b_f: Tensor<f64> = init::uniform(&mut rng, vec![k, n], 1500.0);
-        let qa = QTensor::quantize(&a_f, fmt);
-        let qb = QTensor::quantize(&b_f, fmt);
-        let (ps, os) = alignment(fmt, fmt, QFormat::new(2).unwrap());
-        let mut plain = vec![0i16; m * n];
-        let r_plain = qmatmul_raw(qa.codes(), qb.codes(), m, k, n, ps, os, &mut plain);
-        assert!(
-            r_plain.acc_saturations > 0 || r_plain.out_saturations > 0,
-            "test inputs failed to saturate"
-        );
-        let want: Vec<i16> = plain.iter().map(|&v| v.max(0)).collect();
-        let mut fused = vec![0i16; m * n];
-        let r_fused = qmatmul_raw_relu(qa.codes(), qb.codes(), m, k, n, ps, os, &mut fused);
-        assert_eq!(fused, want);
-        assert_eq!(r_fused, r_plain);
-    }
-
-    #[test]
     fn mapped_kernel_matches_raw_then_permute_with_saturation() {
-        // Saturating inputs: the mapped store must not disturb the clamp
-        // points, so codes AND reports must match raw-then-permute exactly,
-        // for identity and transposed maps, at several pool sizes.
+        // Saturating inputs: the mapped store and the fused ReLU must not
+        // disturb the clamp points, so codes AND reports must match
+        // raw-then-permute(-then-relu) exactly, for identity and transposed
+        // maps, at several pool sizes.
         let mut rng = ChaCha8Rng::seed_from_u64(93);
         let fmt = QFormat::new(4).unwrap();
         let (m, k, n_mat) = (9usize, 13usize, 11usize);
@@ -834,14 +642,10 @@ mod tests {
                         os,
                         &mut got,
                         &map,
+                        Activation::Identity,
                     );
-                    tie_tensor::parallel::set_num_threads(prev);
-                    assert_eq!(got, want, "{name} bsz={bsz} threads={threads}");
-                    assert_eq!(r, r_plain, "{name} bsz={bsz} threads={threads}");
-                    // The fused-ReLU mapped variant: same report, relu'd
-                    // codes.
                     let mut got_relu = vec![0i16; m * n_mat * bsz];
-                    let rr = qmatmul_raw_mapped_relu(
+                    let rr = qmatmul_raw_mapped(
                         qa.codes(),
                         qb.codes(),
                         m,
@@ -852,7 +656,11 @@ mod tests {
                         os,
                         &mut got_relu,
                         &map,
+                        Activation::Relu,
                     );
+                    tie_tensor::parallel::set_num_threads(prev);
+                    assert_eq!(got, want, "{name} bsz={bsz} threads={threads}");
+                    assert_eq!(r, r_plain, "{name} bsz={bsz} threads={threads}");
                     let want_relu: Vec<i16> = want.iter().map(|&v| v.max(0)).collect();
                     assert_eq!(got_relu, want_relu, "{name} bsz={bsz}");
                     assert_eq!(rr, r_plain, "{name} bsz={bsz}");

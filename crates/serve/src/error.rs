@@ -14,6 +14,12 @@ pub enum ServeError {
         /// Length the layer expects (`num_cols`).
         want: usize,
     },
+    /// The input holds a NaN or an infinity. Rejected at submit: the
+    /// quantized engines would otherwise map it silently to a finite code.
+    NonFiniteInput {
+        /// Index of the first non-finite element.
+        index: usize,
+    },
     /// `try_submit` found the bounded request queue full (backpressure).
     QueueFull,
     /// The service is shutting down (or has shut down); the request was
@@ -44,6 +50,9 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownLayer(name) => write!(f, "unknown layer {name:?}"),
             ServeError::WrongInputLength { got, want } => {
                 write!(f, "input has {got} elements, layer expects {want}")
+            }
+            ServeError::NonFiniteInput { index } => {
+                write!(f, "input element {index} is not finite")
             }
             ServeError::QueueFull => write!(f, "request queue full"),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
@@ -77,6 +86,9 @@ mod tests {
             .to_string()
             .contains("fc6"));
         assert!(ServeError::QueueFull.to_string().contains("full"));
+        assert!(ServeError::NonFiniteInput { index: 7 }
+            .to_string()
+            .contains('7'));
         assert!(ServeError::ShardUnavailable { shard: 3 }
             .to_string()
             .contains('3'));

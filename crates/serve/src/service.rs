@@ -12,11 +12,34 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+/// Submit-time request validation shared by [`Client`] and the sharded
+/// client: the layer must be registered, the input must have the layer's
+/// `N` elements, and every element must be finite.
+pub(crate) fn validate_input(
+    registry: &EngineRegistry,
+    layer: &str,
+    input: &[f64],
+) -> Result<(), ServeError> {
+    let (_m, n) = registry
+        .dims(layer)
+        .ok_or_else(|| ServeError::UnknownLayer(layer.to_string()))?;
+    if input.len() != n {
+        return Err(ServeError::WrongInputLength {
+            got: input.len(),
+            want: n,
+        });
+    }
+    match input.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(ServeError::NonFiniteInput { index }),
+        None => Ok(()),
+    }
+}
+
 /// A cloneable handle for submitting inference requests.
 ///
 /// Clients validate eagerly (layer name against the registry, input length
-/// against the layer's `N`) so the only errors that travel through the
-/// service are operational ones. [`Client::submit`] blocks when the
+/// against the layer's `N`, every element finite) so the only errors that
+/// travel through the service are operational ones. [`Client::submit`] blocks when the
 /// bounded queue is full — that is the backpressure contract —
 /// while [`Client::try_submit`] returns [`ServeError::QueueFull`] instead.
 #[derive(Debug, Clone)]
@@ -32,16 +55,7 @@ impl Client {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let (_m, n) = self
-            .registry
-            .dims(layer)
-            .ok_or_else(|| ServeError::UnknownLayer(layer.to_string()))?;
-        if input.len() != n {
-            return Err(ServeError::WrongInputLength {
-                got: input.len(),
-                want: n,
-            });
-        }
+        validate_input(&self.registry, layer, &input)?;
         Ok(Request::new(
             layer.to_string(),
             input,
@@ -53,8 +67,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownLayer`], [`ServeError::WrongInputLength`] for
-    /// invalid requests; [`ServeError::ShuttingDown`] once shutdown began.
+    /// [`ServeError::UnknownLayer`], [`ServeError::WrongInputLength`] or
+    /// [`ServeError::NonFiniteInput`] for invalid requests;
+    /// [`ServeError::ShuttingDown`] once shutdown began.
     pub fn submit(&self, layer: &str, input: Vec<f64>) -> Result<Ticket, ServeError> {
         let (req, ticket) = self.make_request(layer, input)?;
         match self.tx.send(Msg::Request(req)) {
@@ -366,6 +381,51 @@ mod tests {
         );
         let stats = svc.shutdown();
         assert_eq!((stats.submitted, stats.completed, stats.failed), (0, 0, 0));
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_and_counters_reconcile() {
+        let reg = registry(10);
+        let engine = reg.get("fc").unwrap();
+        let svc = InferenceService::start(
+            reg,
+            ServeConfig {
+                max_batch: 4,
+                max_wait: Duration::from_millis(1),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let client = svc.client();
+        let mut nan = vec![0.5; 6];
+        nan[2] = f64::NAN;
+        assert_eq!(
+            client.submit("fc", nan).unwrap_err(),
+            ServeError::NonFiniteInput { index: 2 }
+        );
+        let mut inf = vec![0.5; 6];
+        inf[5] = f64::NEG_INFINITY;
+        assert_eq!(
+            client.try_submit("fc", inf).unwrap_err(),
+            ServeError::NonFiniteInput { index: 5 }
+        );
+        // A finite request still goes through, and only it is counted.
+        let x = vec![0.25; 6];
+        let resp = client.submit("fc", x.clone()).unwrap().wait().unwrap();
+        let mut direct = vec![0.0; 6];
+        engine.matvec_into(&x, &mut direct).unwrap();
+        assert_eq!(resp.output, direct);
+        let stats = svc.shutdown();
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.completed,
+                stats.failed,
+                stats.rejected
+            ),
+            (1, 1, 0, 0)
+        );
+        assert_eq!(stats.in_flight(), 0);
     }
 
     #[test]

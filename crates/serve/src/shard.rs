@@ -38,6 +38,7 @@ use crate::error::ServeError;
 use crate::registry::EngineRegistry;
 use crate::request::Ticket;
 use crate::router::HashRing;
+use crate::service::validate_input;
 use crate::service::{Client, InferenceService};
 use crate::stats::{RouteCore, ServiceStats, ShardStats, ShardedStats};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -148,16 +149,7 @@ impl SharedState {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let (_m, n) = self
-            .registry
-            .dims(layer)
-            .ok_or_else(|| ServeError::UnknownLayer(layer.to_string()))?;
-        if input.len() != n {
-            return Err(ServeError::WrongInputLength {
-                got: input.len(),
-                want: n,
-            });
-        }
+        validate_input(&self.registry, layer, input)?;
         let shard_id = self.ring.shard_for(layer);
         let shard = &self.shards[shard_id];
         let mut round = 0usize;
@@ -223,8 +215,8 @@ impl ShardedClient {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownLayer`] / [`ServeError::WrongInputLength`] for
-    /// invalid requests, [`ServeError::QueueFull`] after retry exhaustion,
+    /// [`ServeError::UnknownLayer`] / [`ServeError::WrongInputLength`] /
+    /// [`ServeError::NonFiniteInput`] for invalid requests, [`ServeError::QueueFull`] after retry exhaustion,
     /// [`ServeError::ShardUnavailable`] when the target shard has no
     /// accepting replica, [`ServeError::ShuttingDown`] once shutdown
     /// began.

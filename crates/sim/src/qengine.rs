@@ -23,7 +23,7 @@ use crate::config::QuantConfig;
 use std::sync::Mutex;
 use tie_core::indexmap::{assemble_dest_map, prepare_copy_plan, stage_dest_map, CopyPlan};
 use tie_core::{Activation, CompactEngine, InferencePlan};
-use tie_quant::{qmatmul_raw_mapped, qmatmul_raw_mapped_relu, QFormat, QMatmulReport, QTensor};
+use tie_quant::{qmatmul_raw_mapped, QFormat, QMatmulReport, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::{Result, TensorError};
 use tie_tt::{TtMatrix, TtShape};
@@ -357,33 +357,24 @@ impl QuantizedEngine {
             // The final stage (h = 1) additionally fuses the activation
             // into the requantization epilogue — no separate pass over
             // the assembled codes.
-            let stage_report = if h == 1 && self.activation == Activation::Relu {
-                qmatmul_raw_mapped_relu(
-                    self.cores[h - 1].codes(),
-                    &cur[..k * cols * b],
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    prod_shift,
-                    out_shift,
-                    &mut nxt[..out_elems],
-                    &self.dest_maps[idx],
-                )
+            let act = if h == 1 {
+                self.activation
             } else {
-                qmatmul_raw_mapped(
-                    self.cores[h - 1].codes(),
-                    &cur[..k * cols * b],
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    prod_shift,
-                    out_shift,
-                    &mut nxt[..out_elems],
-                    &self.dest_maps[idx],
-                )
+                Activation::Identity
             };
+            let stage_report = qmatmul_raw_mapped(
+                self.cores[h - 1].codes(),
+                &cur[..k * cols * b],
+                rows,
+                k,
+                cols,
+                b,
+                prod_shift,
+                out_shift,
+                &mut nxt[..out_elems],
+                &self.dest_maps[idx],
+                act,
+            );
             report = report.merged(&stage_report);
             std::mem::swap(&mut cur, &mut nxt);
             in_format = out_format;

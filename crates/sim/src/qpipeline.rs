@@ -18,9 +18,7 @@ use tie_core::pipeline::{
     FloatChain, PipeRunStats, PipelineConfig, StageChain, StageCounterSnapshot, StagePipeline,
 };
 use tie_core::{Activation, CompactEngine, CutPlan, InferencePlan};
-use tie_quant::{
-    alignment, qmatmul_raw_mapped, qmatmul_raw_mapped_relu, QFormat, QMatmulReport, QTensor,
-};
+use tie_quant::{alignment, qmatmul_raw_mapped, QFormat, QMatmulReport, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::Result;
 use tie_tt::inference::OpCount;
@@ -130,34 +128,24 @@ impl StageChain for QuantChain {
         let stage = &self.plan.stages()[idx];
         let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
         let (prod_shift, out_shift) = self.shifts[idx];
-        let last = idx + 1 == self.plan.stages().len();
-        let stage_report = if last && self.activation == Activation::Relu {
-            qmatmul_raw_mapped_relu(
-                self.cores[stage.h - 1].codes(),
-                &input[..k * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                prod_shift,
-                out_shift,
-                &mut output[..rows * cols * w],
-                &self.dest_maps[idx],
-            )
+        let act = if idx + 1 == self.plan.stages().len() {
+            self.activation
         } else {
-            qmatmul_raw_mapped(
-                self.cores[stage.h - 1].codes(),
-                &input[..k * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                prod_shift,
-                out_shift,
-                &mut output[..rows * cols * w],
-                &self.dest_maps[idx],
-            )
+            Activation::Identity
         };
+        let stage_report = qmatmul_raw_mapped(
+            self.cores[stage.h - 1].codes(),
+            &input[..k * cols * w],
+            rows,
+            k,
+            cols,
+            w,
+            prod_shift,
+            out_shift,
+            &mut output[..rows * cols * w],
+            &self.dest_maps[idx],
+            act,
+        );
         *report = report.merged(&stage_report);
         Ok(())
     }

@@ -7,8 +7,8 @@
 //! ground rules.
 
 use crate::tile::{
-    self, Activation, Bias, BiasRelu, FloatAuto, FloatPath, Identity, Mapped, Relu, RowMajor,
-    BLOCK_K, BLOCK_M, BLOCK_N,
+    self, Activation, Bias, BiasRelu, FloatAuto, FloatPath, Identity, Mapped, Relu, BLOCK_K,
+    BLOCK_M, BLOCK_N,
 };
 use crate::{parallel, Result, Scalar, Tensor, TensorError};
 use rand::SeedableRng;
@@ -281,31 +281,39 @@ impl DestMap {
     }
 }
 
-/// `C = A · B` with a fused destination-map write epilogue — the software
-/// realization of TIE's zero-cost Transform: the permutation that used to
-/// be a separate gather pass happens *inside* the GEMM's store.
+/// `C = epilogue(A · B)` with a fused destination-map write — the one
+/// float entry to the streaming stage and the software realization of
+/// TIE's zero-cost Transform: the permutation that used to be a separate
+/// gather pass, and the final stage's bias add and activation, all happen
+/// *inside* the GEMM's store.
 ///
 /// `a` is `m × k`, `b` is `k × (n_mat·bsz)` (logical columns batch-inner),
 /// and output element `(i, q·bsz + cb)` is stored at
-/// `(map.row[i] + map.col[q])·bsz + cb` of `c`. With
-/// [`DestMap::identity`] this is exactly [`gemm_into`].
+/// `(map.row[i] + map.col[q])·bsz + cb` of `c`. `bias` (when present) is
+/// indexed by **logical destination element** `map.row[i] + map.col[q]` —
+/// for the engines' final assemble maps, the output-neuron index — and
+/// must have `m·n_mat` elements. Inner TT stages pass
+/// `(None, Activation::Identity)`; with [`DestMap::identity`] that is
+/// exactly [`gemm_into`].
 ///
 /// # Bit-consistency
 ///
 /// Every output accumulates its products in ascending `k` with plain
 /// multiply-then-add — the same sequence as [`gemm_into`] (whose cache
 /// blocking stores and reloads exact partial sums, a bitwise no-op) — and
-/// the row-span partition matches the unmapped kernel's slab partition, so
-/// `gemm_into_mapped` is bit-identical to [`gemm_into`]-then-permute at
-/// any thread count, on every SIMD path.
+/// the row-span partition matches the unmapped kernel's slab partition.
+/// The epilogue transforms each output's *finished* full-`k` accumulator.
+/// So the result is bit-identical to [`gemm_into`]-then-permute followed
+/// by a separate bias/activation pass, at any thread count, on every SIMD
+/// path.
 ///
 /// No pre-zero: the map's bijection guarantees every element of `c` is
 /// written exactly once.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] on slice-length or map-extent
-/// mismatch, or `bsz == 0`.
+/// Returns [`TensorError::InvalidArgument`] on slice-length, map-extent or
+/// bias-length mismatch, or `bsz == 0`.
 #[allow(clippy::too_many_arguments)] // GEMM kernel ABI: dims + slices are positional by design
 pub fn gemm_into_mapped<T: Scalar>(
     a: &[T],
@@ -316,6 +324,8 @@ pub fn gemm_into_mapped<T: Scalar>(
     n_mat: usize,
     bsz: usize,
     map: &DestMap,
+    bias: Option<&[T]>,
+    act: Activation,
 ) -> Result<()> {
     let n = n_mat * bsz;
     if bsz == 0 || map.rows() != m || map.cols() != n_mat {
@@ -337,209 +347,27 @@ pub fn gemm_into_mapped<T: Scalar>(
             ),
         });
     }
-    tile::stream_gemm(
-        FloatPath::<T>::new(),
-        FloatAuto,
-        a,
-        b,
-        c,
-        m,
-        k,
-        n_mat,
-        bsz,
-        &Mapped::new(map),
-        &Identity,
-    );
-    Ok(())
-}
-
-/// [`gemm_into_mapped`] with a fused bias/activation epilogue applied at
-/// the accumulator, inside the GEMM's store loop — the last TT stage's
-/// bias add + ReLU cost zero extra output passes.
-///
-/// `bias` (when present) is indexed by **logical destination element**
-/// `map.row[i] + map.col[q]` — for the engines' final assemble maps, the
-/// output-neuron index — and must have `m·n_mat` elements.
-///
-/// # Bit-consistency
-///
-/// The epilogue transforms each output's *finished* full-`k` accumulator,
-/// so the result is bit-identical to [`gemm_into_mapped`] followed by a
-/// separate bias/activation pass, at any thread count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] as [`gemm_into_mapped`] does,
-/// or if `bias` length differs from `m·n_mat`.
-#[allow(clippy::too_many_arguments)] // GEMM kernel ABI: dims + slices are positional by design
-pub fn gemm_into_mapped_fused<T: Scalar>(
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    m: usize,
-    k: usize,
-    n_mat: usize,
-    bsz: usize,
-    map: &DestMap,
-    bias: Option<&[T]>,
-    act: Activation,
-) -> Result<()> {
-    let n = n_mat * bsz;
-    if bsz == 0 || map.rows() != m || map.cols() != n_mat {
-        return Err(TensorError::InvalidArgument {
-            message: format!(
-                "gemm_into_mapped_fused: map {}x{} (bsz {bsz}) does not match {m}x{n_mat}",
-                map.rows(),
-                map.cols()
-            ),
-        });
-    }
-    if a.len() != m * k || b.len() != k * n || c.len() != m * n {
-        return Err(TensorError::InvalidArgument {
-            message: format!(
-                "gemm_into_mapped_fused: buffer lengths (a={}, b={}, c={}) do not match {m}x{k} · {k}x{n}",
-                a.len(),
-                b.len(),
-                c.len()
-            ),
-        });
-    }
     if let Some(bias) = bias {
         if bias.len() != m * n_mat {
             return Err(TensorError::InvalidArgument {
                 message: format!(
-                    "gemm_into_mapped_fused: bias length {} does not match {m}x{n_mat} output",
+                    "gemm_into_mapped: bias length {} does not match {m}x{n_mat} output",
                     bias.len()
                 ),
             });
         }
     }
-    let path = FloatPath::<T>::new();
-    let dest = Mapped::new(map);
+    let (path, dest) = (FloatPath::<T>::new(), Mapped::new(map));
+    macro_rules! run {
+        ($epi:expr) => {
+            tile::stream_gemm(path, FloatAuto, a, b, c, m, k, n_mat, bsz, &dest, $epi)
+        };
+    }
     match (bias, act) {
-        (None, Activation::Identity) => {
-            tile::stream_gemm(path, FloatAuto, a, b, c, m, k, n_mat, bsz, &dest, &Identity);
-        }
-        (None, Activation::Relu) => {
-            tile::stream_gemm(path, FloatAuto, a, b, c, m, k, n_mat, bsz, &dest, &Relu);
-        }
-        (Some(bias), Activation::Identity) => {
-            tile::stream_gemm(
-                path,
-                FloatAuto,
-                a,
-                b,
-                c,
-                m,
-                k,
-                n_mat,
-                bsz,
-                &dest,
-                &Bias::new(bias),
-            );
-        }
-        (Some(bias), Activation::Relu) => {
-            tile::stream_gemm(
-                path,
-                FloatAuto,
-                a,
-                b,
-                c,
-                m,
-                k,
-                n_mat,
-                bsz,
-                &dest,
-                &BiasRelu::new(bias),
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Row-major streaming GEMM with a fused bias/activation epilogue:
-/// [`gemm_into`] + bias + activation in one pass, with batch-inner column
-/// layout (`b` is `k × (n_mat·bsz)`, output element `(i, q·bsz + cb)` at
-/// `(i·n_mat + q)·bsz + cb`). `bias` is indexed by `i·n_mat + q` and must
-/// have `m·n_mat` elements. With `bsz == 1`, `bias == None`,
-/// `act == Identity` this is bitwise [`gemm_into`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] on length mismatch or
-/// `bsz == 0`.
-#[allow(clippy::too_many_arguments)] // GEMM kernel ABI: dims + slices are positional by design
-pub fn gemm_into_fused<T: Scalar>(
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    m: usize,
-    k: usize,
-    n_mat: usize,
-    bsz: usize,
-    bias: Option<&[T]>,
-    act: Activation,
-) -> Result<()> {
-    let n = n_mat * bsz;
-    if bsz == 0 || a.len() != m * k || b.len() != k * n || c.len() != m * n {
-        return Err(TensorError::InvalidArgument {
-            message: format!(
-                "gemm_into_fused: buffer lengths (a={}, b={}, c={}) do not match {m}x{k} · {k}x{n} (bsz {bsz})",
-                a.len(),
-                b.len(),
-                c.len()
-            ),
-        });
-    }
-    if let Some(bias) = bias {
-        if bias.len() != m * n_mat {
-            return Err(TensorError::InvalidArgument {
-                message: format!(
-                    "gemm_into_fused: bias length {} does not match {m}x{n_mat} output",
-                    bias.len()
-                ),
-            });
-        }
-    }
-    let path = FloatPath::<T>::new();
-    let dest = RowMajor::new(m, n_mat);
-    match (bias, act) {
-        (None, Activation::Identity) => {
-            tile::stream_gemm(path, FloatAuto, a, b, c, m, k, n_mat, bsz, &dest, &Identity);
-        }
-        (None, Activation::Relu) => {
-            tile::stream_gemm(path, FloatAuto, a, b, c, m, k, n_mat, bsz, &dest, &Relu);
-        }
-        (Some(bias), Activation::Identity) => {
-            tile::stream_gemm(
-                path,
-                FloatAuto,
-                a,
-                b,
-                c,
-                m,
-                k,
-                n_mat,
-                bsz,
-                &dest,
-                &Bias::new(bias),
-            );
-        }
-        (Some(bias), Activation::Relu) => {
-            tile::stream_gemm(
-                path,
-                FloatAuto,
-                a,
-                b,
-                c,
-                m,
-                k,
-                n_mat,
-                bsz,
-                &dest,
-                &BiasRelu::new(bias),
-            );
-        }
+        (None, Activation::Identity) => run!(&Identity),
+        (None, Activation::Relu) => run!(&Relu),
+        (Some(bias), Activation::Identity) => run!(&Bias::new(bias)),
+        (Some(bias), Activation::Relu) => run!(&BiasRelu::new(bias)),
     }
     Ok(())
 }
@@ -1841,6 +1669,25 @@ mod tests {
         assert_eq!(t.cols(), 3);
     }
 
+    /// The inner-stage call: mapped store, no epilogue.
+    fn mapped_plain(a: &Tensor<f64>, b: &Tensor<f64>, c: &mut [f64], map: &DestMap, bsz: usize) {
+        let (m, k) = (a.dims()[0], a.dims()[1]);
+        let n_mat = map.cols();
+        gemm_into_mapped(
+            a.data(),
+            b.data(),
+            c,
+            m,
+            k,
+            n_mat,
+            bsz,
+            map,
+            None,
+            Activation::Identity,
+        )
+        .unwrap();
+    }
+
     #[test]
     fn gemm_mapped_identity_is_bitwise_gemm_into() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -1851,7 +1698,7 @@ mod tests {
             gemm_into(a.data(), b.data(), &mut plain, m, k, n_mat * bsz).unwrap();
             let map = DestMap::identity(m, n_mat);
             let mut mapped = vec![f64::NAN; m * n_mat * bsz];
-            gemm_into_mapped(a.data(), b.data(), &mut mapped, m, k, n_mat, bsz, &map).unwrap();
+            mapped_plain(&a, &b, &mut mapped, &map, bsz);
             for (x, y) in mapped.iter().zip(&plain) {
                 assert_eq!(x.to_bits(), y.to_bits(), "m={m} k={k} n={n_mat} bsz={bsz}");
             }
@@ -1879,11 +1726,11 @@ mod tests {
             }
             let prev = parallel::set_num_threads(1);
             let mut serial = vec![f64::NAN; m * n_mat * bsz];
-            gemm_into_mapped(a.data(), b.data(), &mut serial, m, k, n_mat, bsz, &map).unwrap();
+            mapped_plain(&a, &b, &mut serial, &map, bsz);
             for threads in [2usize, 8] {
                 parallel::set_num_threads(threads);
                 let mut pooled = vec![f64::NAN; m * n_mat * bsz];
-                gemm_into_mapped(a.data(), b.data(), &mut pooled, m, k, n_mat, bsz, &map).unwrap();
+                mapped_plain(&a, &b, &mut pooled, &map, bsz);
                 for (x, y) in pooled.iter().zip(&serial) {
                     assert_eq!(x.to_bits(), y.to_bits(), "bsz={bsz} threads={threads}");
                 }
@@ -1899,13 +1746,18 @@ mod tests {
     fn gemm_mapped_rejects_mismatched_map_and_lengths() {
         let a = [0.0f64; 6];
         let b = [0.0f64; 6];
-        let mut c = [0.0f64; 4];
         let map = DestMap::identity(2, 2);
+        let ok = |bsz: usize, map: &DestMap, bias: Option<&[f64]>| {
+            let mut c = [0.0f64; 4];
+            gemm_into_mapped(&a, &b, &mut c, 2, 3, 2, bsz, map, bias, Activation::Relu).is_ok()
+        };
+        assert!(ok(1, &map, None));
         // k*n mismatch for b.
-        assert!(gemm_into_mapped(&a, &b, &mut c, 2, 3, 2, 1, &map).is_ok());
-        assert!(gemm_into_mapped(&a, &b, &mut c, 2, 3, 2, 2, &map).is_err());
-        let map3 = DestMap::identity(3, 2);
-        assert!(gemm_into_mapped(&a, &b, &mut c, 2, 3, 2, 1, &map3).is_err());
-        assert!(gemm_into_mapped(&a, &b, &mut c, 2, 3, 2, 0, &map).is_err());
+        assert!(!ok(2, &map, None));
+        assert!(!ok(1, &DestMap::identity(3, 2), None));
+        assert!(!ok(0, &map, None));
+        // Bias must cover the m·n_mat logical outputs.
+        assert!(ok(1, &map, Some(&[0.5; 4])));
+        assert!(!ok(1, &map, Some(&[0.5; 3])));
     }
 }

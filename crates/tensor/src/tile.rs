@@ -690,9 +690,10 @@ struct StreamJob<'a, P: Datapath, D, E> {
 }
 
 /// Retires one row of a register tile: lane `t` is GEMM column `jt + t` of
-/// logical row whose destination row offset is `base_row`. The `(q, cb)`
-/// odometer advances without per-element division — one div/mod at entry,
-/// then increment-and-wrap.
+/// logical row whose destination row offset is `base_row`. Lanes are
+/// retired in runs that share one logical column `q`: the `bsz` samples of
+/// a column are contiguous in the destination, so each run is one
+/// destination lookup and a contiguous, vectorizable store.
 ///
 /// # Safety
 ///
@@ -716,19 +717,23 @@ unsafe fn finish_store<P: Datapath, D: Dest, E: Epilogue<P::EpiV>>(
 ) {
     let mut q = jt / bsz;
     let mut cb = jt - q * bsz;
-    for (&lane, &sat) in lanes.iter().zip(sats) {
+    let mut t = 0;
+    while t < lanes.len() {
+        let run = (bsz - cb).min(lanes.len() - t);
         let e = base_row + dest.col_off(q);
-        let out = path.finish(lane, sat, e, epi, stats);
-        // SAFETY: `e·bsz + cb` is inside the destination buffer by the
-        // `Dest` bijection invariant (see trait docs).
-        unsafe {
-            *c.add(e * bsz + cb) = out;
+        // SAFETY: `e·bsz + cb .. e·bsz + cb + run` lies inside the
+        // destination buffer by the `Dest` bijection invariant (see trait
+        // docs), since `cb + run <= bsz`.
+        let out = unsafe { c.add(e * bsz + cb) };
+        for (u, (&lane, &sat)) in lanes[t..t + run].iter().zip(&sats[t..t + run]).enumerate() {
+            // SAFETY: `u < run`, see above.
+            unsafe {
+                *out.add(u) = path.finish(lane, sat, e, epi, stats);
+            }
         }
-        cb += 1;
-        if cb == bsz {
-            cb = 0;
-            q += 1;
-        }
+        t += run;
+        cb = 0;
+        q += 1;
     }
 }
 
@@ -753,10 +758,14 @@ impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> TileJob for StreamJob<'_, P, D,
         let n = n_mat * bsz;
         let mut stats = P::Stats::default();
         let i1 = row0 + rows;
-        let mut i = row0;
-        while i + R <= i1 {
-            let mut jt = 0;
-            while jt + TJ <= n {
+        // Column strips outermost: one `k × TJ` strip of `B` stays
+        // L1-resident while every row tile of the span sweeps over it, so
+        // `B` streams from memory once per span rather than once per row
+        // tile.
+        let mut jt = 0;
+        while jt + TJ <= n {
+            let mut i = row0;
+            while i + R <= i1 {
                 let mut lanes = [[path.lane_zero(); TJ]; R];
                 let mut sats = [[path.sat_zero(); TJ]; R];
                 for kk in 0..k {
@@ -769,6 +778,10 @@ impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> TileJob for StreamJob<'_, P, D,
                         }
                     }
                 }
+                // Retire from a copy: borrowing the accumulating tile
+                // itself pins it to a stack slot and scalarizes the MAC
+                // loop above (one store per multiply-add).
+                let (done, done_sats) = (lanes, sats);
                 for r in 0..R {
                     // SAFETY: rows `i..i+R` belong to this span; see
                     // `finish_store`.
@@ -781,89 +794,72 @@ impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> TileJob for StreamJob<'_, P, D,
                             dest,
                             bsz,
                             jt,
-                            &lanes[r],
-                            &sats[r],
+                            &done[r],
+                            &done_sats[r],
                             epi,
                             &mut stats,
                         );
                     }
                 }
-                jt += TJ;
+                i += R;
             }
-            while jt < n {
-                for r in 0..R {
-                    let arow = &a[(i + r) * k..(i + r + 1) * k];
-                    let mut lane = path.lane_zero();
-                    let mut sat = path.sat_zero();
-                    for (kk, &ar) in arow.iter().enumerate() {
-                        path.mac(&mut lane, &mut sat, ar, b[kk * n + jt]);
-                    }
-                    // SAFETY: single in-range offset, as above.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        finish_store(
-                            path,
-                            c,
-                            dest.row_base(i + r),
-                            dest,
-                            bsz,
-                            jt,
-                            &[lane],
-                            &[sat],
-                            epi,
-                            &mut stats,
-                        );
-                    }
-                }
-                jt += 1;
-            }
-            i += R;
-        }
-        while i < i1 {
-            let arow = &a[i * k..(i + 1) * k];
-            let base = dest.row_base(i);
-            let mut jt = 0;
-            while jt + TJ <= n {
+            while i < i1 {
                 let mut lane = [path.lane_zero(); TJ];
                 let mut sat = [path.sat_zero(); TJ];
-                for (kk, &ar) in arow.iter().enumerate() {
+                for (kk, &ar) in a[i * k..(i + 1) * k].iter().enumerate() {
                     let bv = &b[kk * n + jt..][..TJ];
                     for (t, &bt) in bv.iter().enumerate() {
                         path.mac(&mut lane[t], &mut sat[t], ar, bt);
                     }
                 }
-                // SAFETY: see `finish_store`.
-                #[allow(unsafe_code)]
-                unsafe {
-                    finish_store(path, c, base, dest, bsz, jt, &lane, &sat, epi, &mut stats);
-                }
-                jt += TJ;
-            }
-            while jt < n {
-                let mut lane = path.lane_zero();
-                let mut sat = path.sat_zero();
-                for (kk, &ar) in arow.iter().enumerate() {
-                    path.mac(&mut lane, &mut sat, ar, b[kk * n + jt]);
-                }
-                // SAFETY: see `finish_store`.
+                // Retire from a copy, as in the R-row path above.
+                let (done, done_sat) = (lane, sat);
+                // SAFETY: row `i` belongs to this span; see `finish_store`.
                 #[allow(unsafe_code)]
                 unsafe {
                     finish_store(
                         path,
                         c,
-                        base,
+                        dest.row_base(i),
                         dest,
                         bsz,
                         jt,
+                        &done,
+                        &done_sat,
+                        epi,
+                        &mut stats,
+                    );
+                }
+                i += 1;
+            }
+            jt += TJ;
+        }
+        // Remainder columns (< TJ wide): one scalar lane per output, same
+        // ascending-k order.
+        for j in jt..n {
+            for i in row0..i1 {
+                let mut lane = path.lane_zero();
+                let mut sat = path.sat_zero();
+                for (kk, &ar) in a[i * k..(i + 1) * k].iter().enumerate() {
+                    path.mac(&mut lane, &mut sat, ar, b[kk * n + j]);
+                }
+                // SAFETY: single in-range offset; see `finish_store`.
+                #[allow(unsafe_code)]
+                unsafe {
+                    finish_store(
+                        path,
+                        c,
+                        dest.row_base(i),
+                        dest,
+                        bsz,
+                        j,
                         &[lane],
                         &[sat],
                         epi,
                         &mut stats,
                     );
                 }
-                jt += 1;
             }
-            i += 1;
         }
         stats
     }

@@ -82,6 +82,18 @@ echo "== tier-2: fused FC7 batch budget (${TIE_TRANSFORM_BUDGET_S}s), default th
 cargo test -q --release --test indexmap_fused \
   "${CARGO_FLAGS[@]}" fused_fc7_batch16_meets_wall_clock_budget -- --ignored
 
+# Mapped-stage ratio gate (DESIGN.md §16.4): on every Table 4 layer at
+# batch 16, the stage GEMMs through `gemm_into_mapped` must take at most
+# 2.5x the time of `gemm_into` on the same operands. Timed within one
+# process, so host speed cancels; it trips when the streaming stage's
+# register tile stops vectorizing. Needs --release; both thread settings.
+echo "== tier-2: mapped vs plain stage GEMM ratio gate, TIE_THREADS=1 =="
+TIE_THREADS=1 cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" mapped_stage_gemm_within_ratio_of_gemm_into_on_table4 -- --ignored
+echo "== tier-2: mapped vs plain stage GEMM ratio gate, default thread count =="
+cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" mapped_stage_gemm_within_ratio_of_gemm_into_on_table4 -- --ignored
+
 # Autotuner determinism + budget gate (autotune PR, DESIGN.md §17): the
 # pinned LSTM-UCF11/LSTM-Youtube searches must reproduce the committed
 # golden tuned-plan fixtures byte-for-byte at both thread settings (the
@@ -104,5 +116,10 @@ cargo test -q --release --test autotune_plans \
 # the test before any timing). Needs --release — it is a wall-clock gate.
 echo "== tier-2: pooled vs scoped GEMM dispatch gate =="
 cargo test -q --release --test pool_perf "${CARGO_FLAGS[@]}" -- --ignored
+
+# The benchmark harness is its own package (own workspace and lockfile),
+# so the workspace sweep above does not reach its tests.
+echo "== tier-2: loadbench tests =="
+cargo test --release "${CARGO_FLAGS[@]}" --manifest-path loadbench/Cargo.toml
 
 echo "ci.sh: all green"

@@ -13,20 +13,25 @@
 //!   RequantRelu} × {row-major, permuted `DestMap`} × pool {1, 8}, with
 //!   saturation reports compared exactly.
 //!
+//! The dispatched kernels are reached through the one public entry per
+//! datapath (`gemm_into_mapped`, `qmatmul_raw_mapped`, plus the row-major
+//! `qmatmul_raw`); the forced-portable tier and the `RowMajor`
+//! destination are driven straight through `tile::stream_gemm`.
+//!
 //! Shapes include the degenerate corners (`m = 1`, `k = 1`, single
-//! element) and tile-remainder edges straddling the 8/16/32 SIMD lane
-//! widths, where ragged-tail handling historically hides bugs.
+//! element), tile-remainder edges straddling the 8/16/32 SIMD lane
+//! widths, where ragged-tail handling historically hides bugs, and one
+//! shape with at least two full register tiles in both dimensions.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tie::quant::{
-    alignment, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped, qmatmul_raw_mapped_relu,
-    qmatmul_raw_relu, qmatmul_raw_relu_portable, QFormat, QTensor,
+    alignment, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped, QFormat, QTensor, QuantPath,
 };
-use tie::tensor::linalg::{gemm_into_fused, gemm_into_mapped_fused, DestMap};
+use tie::tensor::linalg::{gemm_into_mapped, DestMap};
 use tie::tensor::tile::{
     stream_gemm, Activation, Bias, BiasRelu, FloatPath, Identity, Mapped, PortableTile, Relu,
-    RowMajor,
+    Requant, RequantRelu, RowMajor,
 };
 use tie::tensor::{init, parallel, Tensor};
 
@@ -39,6 +44,7 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (5, 9, 31), // one short of a full 32-lane tile
     (4, 6, 33), // one past a full 32-lane tile
     (7, 11, 17),
+    (9, 5, 70), // ≥ 2 full register tiles in both dimensions (R = 4, TJ = 32)
 ];
 
 /// A deterministic permuted `DestMap`: rows reversed, columns rotated.
@@ -103,8 +109,8 @@ fn oracle_f64(
 }
 
 /// Runs the float lattice for one shape at one pool size: both kernels
-/// (dispatched via the public fused entry points, forced-portable via
-/// `stream_gemm`) × all four epilogues × all three destinations.
+/// (dispatched via `gemm_into_mapped`, forced-portable via `stream_gemm`)
+/// × all four epilogues × all three destinations.
 fn float_lattice(m: usize, k: usize, n_mat: usize, bsz: usize, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let a: Tensor<f64> = init::uniform(&mut rng, vec![m, k], 1.0);
@@ -119,43 +125,30 @@ fn float_lattice(m: usize, k: usize, n_mat: usize, bsz: usize, seed: u64) {
             for (map, mapped) in [(&identity, false), (&identity, true), (&permuted, true)] {
                 let want = oracle_f64(a.data(), b.data(), m, k, n_mat, bsz, map, bias_opt, act);
 
-                // Dispatched kernel through the public fused entry points.
+                // Dispatched kernel through the single public entry.
                 let mut got = vec![0.0f64; m * n_mat * bsz];
-                if mapped {
-                    gemm_into_mapped_fused(
-                        a.data(),
-                        b.data(),
-                        &mut got,
-                        m,
-                        k,
-                        n_mat,
-                        bsz,
-                        map,
-                        bias_opt,
-                        act,
-                    )
-                    .unwrap();
-                } else {
-                    gemm_into_fused(
-                        a.data(),
-                        b.data(),
-                        &mut got,
-                        m,
-                        k,
-                        n_mat,
-                        bsz,
-                        bias_opt,
-                        act,
-                    )
-                    .unwrap();
-                }
+                gemm_into_mapped(
+                    a.data(),
+                    b.data(),
+                    &mut got,
+                    m,
+                    k,
+                    n_mat,
+                    bsz,
+                    map,
+                    bias_opt,
+                    act,
+                )
+                .unwrap();
                 assert_bits_eq(&got, &want, "dispatched", act, with_bias, mapped);
 
                 // Forced-portable kernel straight through the streaming
                 // stage, exercising every epilogue type explicitly.
                 let mut port = vec![0.0f64; m * n_mat * bsz];
                 let path = FloatPath::<f64>::new();
-                let kern = PortableTile::<8, 1>;
+                // R = 2 so odd `m` exercises both the row-pair and the
+                // single-row paths.
+                let kern = PortableTile::<8, 2>;
                 macro_rules! run_portable {
                     ($epi:expr) => {
                         if mapped {
@@ -259,9 +252,10 @@ fn heavy_codes(len: usize, seed: u64) -> Vec<i16> {
         .collect()
 }
 
-/// Quantized lattice for one shape at the current pool size: the raw
-/// kernels (dispatched and forced-portable; plain and relu; row-major and
-/// mapped) against naive-then-scatter-then-relu, codes and reports exact.
+/// Quantized lattice for one shape at the current pool size: both kernels
+/// (dispatched via `qmatmul_raw_mapped`, forced-portable via
+/// `stream_gemm`) × {Requant, RequantRelu} × {row-major, permuted map}
+/// against naive-then-scatter-then-relu, codes and reports exact.
 fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     let a = QTensor::from_codes(
         vec![m, k],
@@ -282,19 +276,10 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     // passes on its codes. Its report must carry over unchanged — the
     // fused relu counts saturation on the pre-epilogue code.
     let (c_naive, r_naive) = qmatmul_naive(&a, &b, out).unwrap();
-    let map = permuted_map(m, n_mat);
-    let scatter = |codes: &[i16]| -> Vec<i16> {
-        let mut s = vec![0i16; m * n_mat];
-        for i in 0..m {
-            for q in 0..n_mat {
-                s[map.offset(i, q)] = codes[i * n_mat + q];
-            }
-        }
-        s
-    };
-    let relu = |codes: &[i16]| -> Vec<i16> { codes.iter().map(|&v| v.max(0)).collect() };
+    let sat_naive = (r_naive.acc_saturations, r_naive.out_saturations);
 
-    // Row-major, plain and fused-relu, dispatched and portable.
+    // The row-major entry the loadbench stage timings and `qmatmul_into`
+    // ride.
     let mut got = vec![0i16; m * n_mat];
     let r = qmatmul_raw(
         a.codes(),
@@ -313,74 +298,79 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     );
     assert_eq!(r, r_naive, "raw vs naive report");
 
-    let r = qmatmul_raw_relu(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        prod_shift,
-        out_shift,
-        &mut got,
-    );
-    assert_eq!(
-        got,
-        relu(c_naive.codes()),
-        "fused relu vs naive-then-relu codes"
-    );
-    assert_eq!(r, r_naive, "fused relu must not perturb the report");
+    let identity = DestMap::identity(m, n_mat);
+    let permuted = permuted_map(m, n_mat);
+    for act in [Activation::Identity, Activation::Relu] {
+        for (map, mapped) in [(&identity, false), (&permuted, true)] {
+            let mut want = vec![0i16; m * n_mat];
+            for i in 0..m {
+                for q in 0..n_mat {
+                    let v = c_naive.codes()[i * n_mat + q];
+                    want[map.offset(i, q)] = if act == Activation::Relu { v.max(0) } else { v };
+                }
+            }
+            let what = format!("{act:?}, mapped {mapped} ({m}x{k}x{n_mat})");
 
-    let r = qmatmul_raw_relu_portable(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        prod_shift,
-        out_shift,
-        &mut got,
-    );
-    assert_eq!(got, relu(c_naive.codes()), "portable fused relu codes");
-    assert_eq!(r, r_naive, "portable fused relu report");
+            let r = qmatmul_raw_mapped(
+                a.codes(),
+                b.codes(),
+                m,
+                k,
+                n_mat,
+                1,
+                prod_shift,
+                out_shift,
+                &mut got,
+                map,
+                act,
+            );
+            assert_eq!(got, want, "dispatched codes, {what}");
+            assert_eq!(r, r_naive, "dispatched report, {what}");
 
-    // Mapped (permuted), plain and fused-relu.
-    let r = qmatmul_raw_mapped(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        1,
-        prod_shift,
-        out_shift,
-        &mut got,
-        &map,
-    );
-    assert_eq!(
-        got,
-        scatter(c_naive.codes()),
-        "mapped vs naive-then-scatter codes"
-    );
-    assert_eq!(r, r_naive, "mapped report");
-
-    let r = qmatmul_raw_mapped_relu(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        1,
-        prod_shift,
-        out_shift,
-        &mut got,
-        &map,
-    );
-    assert_eq!(
-        got,
-        relu(&scatter(c_naive.codes())),
-        "mapped fused relu vs naive-then-scatter-then-relu codes"
-    );
-    assert_eq!(r, r_naive, "mapped fused relu report");
+            let mut port = vec![0i16; m * n_mat];
+            let path = QuantPath::new(prod_shift, out_shift);
+            let kern = PortableTile::<8, 1>;
+            macro_rules! run_portable {
+                ($epi:expr) => {
+                    if mapped {
+                        stream_gemm(
+                            path,
+                            kern,
+                            a.codes(),
+                            b.codes(),
+                            &mut port,
+                            m,
+                            k,
+                            n_mat,
+                            1,
+                            &Mapped::new(map),
+                            $epi,
+                        )
+                    } else {
+                        stream_gemm(
+                            path,
+                            kern,
+                            a.codes(),
+                            b.codes(),
+                            &mut port,
+                            m,
+                            k,
+                            n_mat,
+                            1,
+                            &RowMajor::new(m, n_mat),
+                            $epi,
+                        )
+                    }
+                };
+            }
+            let sat = match act {
+                Activation::Identity => run_portable!(&Requant),
+                Activation::Relu => run_portable!(&RequantRelu),
+            };
+            assert_eq!(port, want, "portable codes, {what}");
+            assert_eq!(sat, sat_naive, "portable saturation counts, {what}");
+        }
+    }
 }
 
 #[test]

@@ -19,15 +19,52 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tie::prelude::*;
 use tie::quant::{
-    alignment, qmatmul, qmatmul_naive, qmatmul_raw, qmatmul_raw_portable, qmatmul_raw_relu,
-    qmatmul_raw_relu_portable,
+    alignment, qmatmul, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped, QMatmulReport, QuantPath,
 };
 use tie::sim::{CalibrationMode, QuantConfig};
+use tie::tensor::linalg::DestMap;
+use tie::tensor::tile::{
+    stream_gemm, Activation, Epilogue, PortableTile, Requant, RequantRelu, RowMajor,
+};
 use tie::tensor::{init, parallel};
 
 /// Builds a `QTensor` from explicit codes.
 fn qt(rows: usize, cols: usize, codes: Vec<i16>, frac_bits: u32) -> QTensor {
     QTensor::from_codes(vec![rows, cols], codes, QFormat::new(frac_bits).unwrap()).unwrap()
+}
+
+/// The forced-portable tier: the quantized datapath on the pinned
+/// `PortableTile<8, 1>` kernel, row-major, with the given epilogue.
+#[allow(clippy::too_many_arguments)]
+fn qmatmul_portable<E: Epilogue<i32>>(
+    a: &[i16],
+    b: &[i16],
+    m: usize,
+    k: usize,
+    n: usize,
+    prod_shift: u32,
+    out_shift: u32,
+    codes: &mut [i16],
+    epi: &E,
+) -> QMatmulReport {
+    let (acc_saturations, out_saturations) = stream_gemm(
+        QuantPath::new(prod_shift, out_shift),
+        PortableTile::<8, 1>,
+        a,
+        b,
+        codes,
+        m,
+        k,
+        n,
+        1,
+        &RowMajor::new(m, n),
+        epi,
+    );
+    QMatmulReport {
+        acc_saturations,
+        out_saturations,
+        outputs: (m * n) as u64,
+    }
 }
 
 /// Runs all three kernels on the same raw operands and asserts exact
@@ -41,7 +78,7 @@ fn assert_three_way_agreement(a: &QTensor, b: &QTensor, out: QFormat, threads: u
     let n = b.shape().dims()[1];
     let (prod_shift, out_shift) = alignment(a.format(), b.format(), out);
     let mut c_port = vec![0i16; m * n];
-    let r_port = qmatmul_raw_portable(
+    let r_port = qmatmul_portable(
         a.codes(),
         b.codes(),
         m,
@@ -50,6 +87,7 @@ fn assert_three_way_agreement(a: &QTensor, b: &QTensor, out: QFormat, threads: u
         prod_shift,
         out_shift,
         &mut c_port,
+        &Requant,
     );
 
     // Fused-ReLU variants: the epilogue clamps the clipped 32-bit code at
@@ -57,18 +95,21 @@ fn assert_three_way_agreement(a: &QTensor, b: &QTensor, out: QFormat, threads: u
     // exactly requant-then-relu and reports must be exactly the plain
     // kernel's — under the same engineered saturation.
     let mut c_relu = vec![0i16; m * n];
-    let r_relu = qmatmul_raw_relu(
+    let r_relu = qmatmul_raw_mapped(
         a.codes(),
         b.codes(),
         m,
         k,
         n,
+        1,
         prod_shift,
         out_shift,
         &mut c_relu,
+        &DestMap::identity(m, n),
+        Activation::Relu,
     );
     let mut c_relu_port = vec![0i16; m * n];
-    let r_relu_port = qmatmul_raw_relu_portable(
+    let r_relu_port = qmatmul_portable(
         a.codes(),
         b.codes(),
         m,
@@ -77,6 +118,7 @@ fn assert_three_way_agreement(a: &QTensor, b: &QTensor, out: QFormat, threads: u
         prod_shift,
         out_shift,
         &mut c_relu_port,
+        &RequantRelu,
     );
     parallel::set_num_threads(prev);
 
