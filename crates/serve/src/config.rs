@@ -5,23 +5,31 @@ use std::time::Duration;
 
 /// Tuning knobs of an [`crate::InferenceService`].
 ///
-/// The two batching knobs implement the classic dynamic-batching contract:
-/// a batch for a layer is dispatched as soon as **either** `max_batch`
-/// requests for that layer are pending **or** the oldest pending request
-/// has waited `max_wait`, whichever comes first. `max_batch = 1` degrades
-/// to immediate per-request dispatch; `max_wait = 0` dispatches whatever
-/// is pending on the next batcher wake-up.
+/// Dispatch is work-conserving: a layer's pending requests go to a worker
+/// as soon as one is idle with nothing queued for it, however few they
+/// are. While every worker is busy, the two batching knobs decide: a
+/// batch is dispatched as soon as **either** `max_batch` requests for that
+/// layer are pending **or** the lane has been forming for `max_wait`,
+/// whichever comes first. Batches therefore grow with load, during the
+/// workers' own service time, instead of by waiting. `max_batch = 1`
+/// degrades to immediate per-request dispatch; `max_wait = 0` dispatches
+/// whatever is pending on the next batcher wake-up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Dispatch a layer's batch once this many requests are queued for it
     /// (≥ 1).
     pub max_batch: usize,
-    /// Dispatch a layer's batch once its oldest request has waited this
-    /// long, even if the batch is not full.
+    /// The busy-case bound: while every worker is busy, dispatch a
+    /// layer's batch once its lane has been forming this long, even if the
+    /// batch is not full, so a cold layer cannot starve behind a hot
+    /// layer's full batches. An idle worker takes a pending lane at once
+    /// and never waits for this deadline.
     pub max_wait: Duration,
     /// Capacity of the bounded request queue shared by all clients
     /// (≥ 1). `try_submit` fails with [`ServeError::QueueFull`] and
     /// `submit` blocks when it is full — this is the backpressure bound.
+    /// Besides requests, the queue carries the workers' idle wake-ups; at
+    /// most one is in flight at a time, so they occupy at most one slot.
     pub queue_capacity: usize,
     /// Worker threads executing batches. `0` means auto: resolve from
     /// [`tie_tensor::parallel::num_threads`] (which honours the

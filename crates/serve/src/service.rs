@@ -1,12 +1,13 @@
 //! The service façade: thread ownership, client handles, shutdown.
 
-use crate::batcher::{run_batcher, Batch, Msg};
+use crate::batcher::{run_batcher, Batch, IdleWorkers, Msg};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::registry::EngineRegistry;
 use crate::request::{Request, Ticket};
 use crate::stats::{ServiceStats, StatsCore};
-use crate::worker::run_worker;
+use crate::worker::{run_worker, WorkerEngine};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -155,6 +156,16 @@ impl InferenceService {
     /// [`ServeError::Config`] for an invalid configuration or an empty
     /// registry.
     pub fn start(registry: EngineRegistry, config: ServeConfig) -> Result<Self, ServeError> {
+        Self::start_with(registry, config, EngineRegistry::worker_engines)
+    }
+
+    /// [`InferenceService::start`] with the workers' engine copies built
+    /// by `worker_engines` (tests swap in a fault-injecting engine).
+    fn start_with(
+        registry: EngineRegistry,
+        config: ServeConfig,
+        worker_engines: impl Fn(&EngineRegistry) -> HashMap<String, WorkerEngine>,
+    ) -> Result<Self, ServeError> {
         config.validate()?;
         if registry.is_empty() {
             return Err(ServeError::Config("registry has no layers".into()));
@@ -167,15 +178,18 @@ impl InferenceService {
         let worker_count = config.resolved_workers();
         let (batch_tx, batch_rx) = sync_channel::<Batch>(worker_count.saturating_mul(2).max(1));
         let batch_rx = Arc::new(Mutex::new(batch_rx));
+        let idle = Arc::new(IdleWorkers::default());
 
         let mut workers = Vec::with_capacity(worker_count);
         for i in 0..worker_count {
             let rx = Arc::clone(&batch_rx);
-            let engines = registry.worker_engines();
+            let engines = worker_engines(&registry);
             let stats_w = Arc::clone(&stats);
+            let idle_w = Arc::clone(&idle);
+            let wake = req_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("tie-serve-worker-{i}"))
-                .spawn(move || run_worker(rx, engines, stats_w))
+                .spawn(move || run_worker(rx, engines, stats_w, idle_w, wake))
                 .map_err(|e| ServeError::Config(format!("failed to spawn worker: {e}")))?;
             workers.push(handle);
         }
@@ -184,7 +198,7 @@ impl InferenceService {
         let (max_batch, max_wait) = (config.max_batch, config.max_wait);
         let batcher = std::thread::Builder::new()
             .name("tie-serve-batcher".into())
-            .spawn(move || run_batcher(req_rx, batch_tx, max_batch, max_wait, stats_b))
+            .spawn(move || run_batcher(req_rx, batch_tx, max_batch, max_wait, stats_b, idle))
             .map_err(|e| ServeError::Config(format!("failed to spawn batcher: {e}")))?;
 
         let client = Client {
@@ -447,7 +461,8 @@ mod tests {
     fn shutdown_drains_pending_requests() {
         let reg = registry(6);
         let engine = reg.get("fc").unwrap();
-        // Huge max_batch + long max_wait: nothing dispatches until drain.
+        // Huge max_batch + long max_wait: nothing is full or expires, so
+        // every request leaves through an idle worker or the drain.
         let svc = InferenceService::start(
             reg,
             ServeConfig {
@@ -475,7 +490,87 @@ mod tests {
         }
         assert_eq!(stats.submitted, 9);
         assert_eq!(stats.completed + stats.failed, 9);
-        assert!(stats.drain_batches >= 1, "drain must have flushed the lane");
+        assert_eq!((stats.full_batches, stats.deadline_batches), (0, 0));
+        assert_eq!(stats.batches, stats.idle_batches + stats.drain_batches);
+        assert_eq!(stats.batched_requests, 9);
+    }
+
+    #[test]
+    fn idle_worker_answers_long_before_max_wait() {
+        let reg = registry(12);
+        let engine = reg.get("fc").unwrap();
+        let svc = InferenceService::start(
+            reg,
+            ServeConfig {
+                max_batch: 64,
+                max_wait: Duration::from_secs(60),
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let client = svc.client();
+        for seed in 0..3 {
+            let x = vec![0.1 * f64::from(seed); 6];
+            // The deadline is a minute away; only the idle rule answers
+            // inside the timeout.
+            let resp = client
+                .submit("fc", x.clone())
+                .unwrap()
+                .wait_timeout(Duration::from_secs(5))
+                .unwrap();
+            let mut direct = vec![0.0; 6];
+            engine.matvec_into(&x, &mut direct).unwrap();
+            assert_eq!(resp.output, direct);
+        }
+        let stats = svc.shutdown();
+        assert_eq!((stats.completed, stats.idle_batches), (3, 3));
+        assert_eq!(stats.deadline_batches, 0);
+    }
+
+    #[test]
+    fn engine_panic_fails_its_batch_and_keeps_the_worker() {
+        use crate::worker::PANIC_TRIGGER;
+        let reg = registry(13);
+        let engine = reg.get("fc").unwrap();
+        // One worker: if the panic killed it, nothing would answer after.
+        let svc = InferenceService::start_with(
+            reg,
+            ServeConfig {
+                max_batch: 1,
+                workers: 1,
+                ..Default::default()
+            },
+            |reg| {
+                let mut engines = reg.worker_engines();
+                let fc = engines.remove("fc").unwrap();
+                engines.insert("fc".into(), WorkerEngine::Faulty(Box::new(fc)));
+                engines
+            },
+        )
+        .unwrap();
+        let client = svc.client();
+        let mut poisoned = vec![0.5; 6];
+        poisoned[0] = PANIC_TRIGGER;
+        assert!(matches!(
+            client.submit("fc", poisoned).unwrap().wait(),
+            Err(ServeError::Engine(msg)) if msg.starts_with("engine panicked")
+        ));
+        let x = vec![0.25; 6];
+        let resp = client
+            .submit("fc", x.clone())
+            .unwrap()
+            .wait_timeout(Duration::from_secs(5))
+            .expect("the worker survived the panic");
+        let mut direct = vec![0.0; 6];
+        engine.matvec_into(&x, &mut direct).unwrap();
+        assert_eq!(resp.output, direct);
+        let stats = svc.shutdown();
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
+        assert_eq!(
+            (stats.completed, stats.failed, stats.engine_panics),
+            (1, 1, 1)
+        );
     }
 
     #[test]

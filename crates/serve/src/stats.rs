@@ -8,8 +8,11 @@ use std::time::{Duration, Instant};
 pub(crate) enum DispatchCause {
     /// `max_batch` requests were pending.
     Full,
-    /// The oldest pending request hit the `max_wait` deadline.
+    /// The oldest pending request hit the `max_wait` deadline while every
+    /// worker was busy.
     Deadline,
+    /// A worker was idle with nothing queued for it.
+    Idle,
     /// Shutdown drain.
     Drain,
 }
@@ -23,9 +26,11 @@ pub(crate) struct StatsCore {
     rejected: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
+    engine_panics: AtomicU64,
     batches: AtomicU64,
     full_batches: AtomicU64,
     deadline_batches: AtomicU64,
+    idle_batches: AtomicU64,
     drain_batches: AtomicU64,
     batched_requests: AtomicU64,
     latency_ns_sum: AtomicU64,
@@ -51,9 +56,11 @@ impl StatsCore {
             rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
+            engine_panics: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             full_batches: AtomicU64::new(0),
             deadline_batches: AtomicU64::new(0),
+            idle_batches: AtomicU64::new(0),
             drain_batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
             latency_ns_sum: AtomicU64::new(0),
@@ -87,6 +94,7 @@ impl StatsCore {
         let counter = match cause {
             DispatchCause::Full => &self.full_batches,
             DispatchCause::Deadline => &self.deadline_batches,
+            DispatchCause::Idle => &self.idle_batches,
             DispatchCause::Drain => &self.drain_batches,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -101,6 +109,12 @@ impl StatsCore {
 
     pub(crate) fn record_failure(&self) {
         self.failed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one batch whose engine call panicked (its requests are
+    /// counted as failed one by one when they are answered).
+    pub(crate) fn record_engine_panic(&self) {
+        self.engine_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one quantized batch's saturation report into the counters.
@@ -153,9 +167,11 @@ impl StatsCore {
             rejected: self.rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
+            engine_panics: self.engine_panics.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             full_batches: self.full_batches.load(Ordering::Relaxed),
             deadline_batches: self.deadline_batches.load(Ordering::Relaxed),
+            idle_batches: self.idle_batches.load(Ordering::Relaxed),
             drain_batches: self.drain_batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             latency_ns_sum: self.latency_ns_sum.load(Ordering::Relaxed),
@@ -315,6 +331,10 @@ impl ShardedStats {
 /// whose submit succeeded ends up in exactly one of `completed` or
 /// `failed`, so after a clean shutdown `submitted == completed + failed`.
 /// `rejected` counts `try_submit` calls that never entered the queue.
+/// Every batch has exactly one dispatch cause, so
+/// `batches == full_batches + deadline_batches + idle_batches +
+/// drain_batches` holds at any snapshot taken while no batch is being
+/// dispatched, and always after shutdown.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests accepted into the queue.
@@ -326,12 +346,20 @@ pub struct ServiceStats {
     /// Accepted requests that were answered with an error (including
     /// tear-down during shutdown races).
     pub failed: u64,
+    /// Batches whose engine call panicked. The worker survives; the
+    /// batch's requests are answered with [`crate::ServeError::Engine`]
+    /// and counted in `failed`.
+    pub engine_panics: u64,
     /// Batches dispatched to the worker pool.
     pub batches: u64,
     /// Batches dispatched because `max_batch` was reached.
     pub full_batches: u64,
-    /// Batches dispatched because `max_wait` expired.
+    /// Batches dispatched because `max_wait` expired while every worker
+    /// was busy.
     pub deadline_batches: u64,
+    /// Batches handed to a worker that was idle with nothing queued for
+    /// it (work-conserving dispatch, before the batch was full).
+    pub idle_batches: u64,
     /// Batches flushed by the shutdown drain.
     pub drain_batches: u64,
     /// Total requests over all dispatched batches.
@@ -394,9 +422,11 @@ impl ServiceStats {
         self.rejected += other.rejected;
         self.completed += other.completed;
         self.failed += other.failed;
+        self.engine_panics += other.engine_panics;
         self.batches += other.batches;
         self.full_batches += other.full_batches;
         self.deadline_batches += other.deadline_batches;
+        self.idle_batches += other.idle_batches;
         self.drain_batches += other.drain_batches;
         self.batched_requests += other.batched_requests;
         self.latency_ns_sum += other.latency_ns_sum;
@@ -572,6 +602,11 @@ mod tests {
         core2.record_submit();
         core2.record_response(Duration::from_micros(40));
         core2.record_failure();
+        core2.record_engine_panic();
+        core2.record_batch(1, DispatchCause::Idle);
+        core2.record_batch(1, DispatchCause::Full);
+        core2.record_batch(1, DispatchCause::Deadline);
+        core2.record_batch(1, DispatchCause::Drain);
         let b = core2.snapshot();
         let mut total = ServiceStats::default();
         total.absorb(&a);
@@ -580,6 +615,14 @@ mod tests {
         assert_eq!(total.completed, 2);
         assert_eq!(total.failed, 1);
         assert_eq!(total.submitted, total.completed + total.failed);
+        assert_eq!(total.engine_panics, 1);
+        assert_eq!(total.batches, 4);
+        assert_eq!(
+            total.batches,
+            total.full_batches + total.deadline_batches + total.idle_batches + total.drain_batches,
+            "every batch has exactly one dispatch cause"
+        );
+        assert_eq!(total.idle_batches, 1);
         assert_eq!(total.max_latency(), Duration::from_micros(40));
         assert_eq!(total.latency_ns_sum, a.latency_ns_sum + b.latency_ns_sum);
         assert_eq!(total.elapsed, a.elapsed.max(b.elapsed));
@@ -670,11 +713,17 @@ mod tests {
         let core = StatsCore::new();
         core.record_batch(1, DispatchCause::Deadline);
         core.record_batch(3, DispatchCause::Drain);
+        core.record_batch(2, DispatchCause::Idle);
         let s = core.snapshot();
         assert_eq!(
-            (s.full_batches, s.deadline_batches, s.drain_batches),
-            (0, 1, 1)
+            (
+                s.full_batches,
+                s.deadline_batches,
+                s.idle_batches,
+                s.drain_batches
+            ),
+            (0, 1, 1, 1)
         );
-        assert_eq!(s.batched_requests, 4);
+        assert_eq!(s.batched_requests, 6);
     }
 }

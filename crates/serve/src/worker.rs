@@ -8,17 +8,26 @@
 //!
 //! The batch queue receiver sits behind a `Mutex` so the pool shares one
 //! channel: whichever worker is idle grabs the lock, takes the next batch,
-//! and releases the lock *before* executing. Workers exit when the channel
-//! disconnects, which happens exactly when the batcher returns — so
-//! shutdown order is: batcher drains and exits, workers finish the queued
-//! batches, pool joins.
+//! and releases the lock *before* executing. Before each fetch a worker
+//! reports itself idle through [`IdleWorkers::worker_ready`], which is
+//! what lets the batcher hand it a partial batch at once instead of
+//! waiting out `max_wait`. Workers exit when the channel disconnects,
+//! which happens exactly when the batcher returns — so shutdown order is:
+//! batcher drains and exits, workers finish the queued batches, pool
+//! joins.
+//!
+//! A panic inside an engine call is contained to its batch: the batch is
+//! answered with [`ServeError::Engine`], counted in `engine_panics`, and
+//! the worker carries on (so it keeps reporting itself idle).
 
-use crate::batcher::Batch;
+use crate::batcher::{Batch, IdleWorkers, Msg};
 use crate::error::ServeError;
 use crate::request::Response;
 use crate::stats::StatsCore;
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::mpsc::Receiver;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use tie_core::CompactEngine;
 use tie_sim::{PipelinedEngine, QuantizedEngine};
@@ -48,7 +57,15 @@ pub(crate) enum WorkerEngine {
     Float(CompactEngine<f64>),
     Quantized(QuantizedEngine),
     Pipelined(PipelinedEngine),
+    /// Fault injection: the wrapped engine, except that a batch whose
+    /// first input element is [`PANIC_TRIGGER`] panics inside the call.
+    #[cfg(test)]
+    Faulty(Box<WorkerEngine>),
 }
+
+/// The input value that makes a [`WorkerEngine::Faulty`] engine panic.
+#[cfg(test)]
+pub(crate) const PANIC_TRIGGER: f64 = 1234.5;
 
 impl WorkerEngine {
     /// `(rows M, cols N)` of the layer.
@@ -58,6 +75,8 @@ impl WorkerEngine {
                 let shape = e.matrix().shape();
                 (shape.num_rows(), shape.num_cols())
             }
+            #[cfg(test)]
+            WorkerEngine::Faulty(e) => e.dims(),
             WorkerEngine::Quantized(e) => (e.num_rows(), e.num_cols()),
             WorkerEngine::Pipelined(e) => (e.num_rows(), e.num_cols()),
         }
@@ -81,6 +100,8 @@ impl WorkerEngine {
                 e.bytes_moved_per_sample(),
                 e.transform_elided_bytes_per_sample(),
             ),
+            #[cfg(test)]
+            WorkerEngine::Faulty(e) => e.traffic_per_sample(),
         }
     }
 
@@ -113,19 +134,28 @@ impl WorkerEngine {
                     )),
                 }
             }),
+            #[cfg(test)]
+            WorkerEngine::Faulty(e) => {
+                assert!(xs[0] != PANIC_TRIGGER, "injected engine fault");
+                e.matvec_batch_into(xs, b, ys)
+            }
         }
     }
 }
 
-/// Worker thread body.
+/// Worker thread body. `wake` is a sender into the batcher's request
+/// queue, used only for the idle wake-up.
 pub(crate) fn run_worker(
     batch_rx: Arc<Mutex<Receiver<Batch>>>,
     engines: HashMap<String, WorkerEngine>,
     stats: Arc<StatsCore>,
+    idle: Arc<IdleWorkers>,
+    wake: SyncSender<Msg>,
 ) {
     let mut xs: Vec<f64> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
     loop {
+        idle.worker_ready(&wake);
         let batch = {
             let guard = match batch_rx.lock() {
                 Ok(g) => g,
@@ -153,12 +183,11 @@ fn execute(
     xs: &mut Vec<f64>,
     ys: &mut Vec<f64>,
 ) {
-    let Some(engine) = engines.get(&batch.layer) else {
+    let Some(engine) = engines.get(&*batch.layer) else {
         // Unreachable in practice: clients validate the layer name against
         // the registry before submitting. Answer rather than panic.
         for req in batch.requests {
-            let layer = batch.layer.clone();
-            req.respond(Err(ServeError::UnknownLayer(layer)));
+            req.respond(Err(ServeError::UnknownLayer(batch.layer.to_string())));
         }
         return;
     };
@@ -175,7 +204,19 @@ fn execute(
     ys.clear();
     ys.resize(m * b, 0.0);
 
-    match engine.matvec_batch_into(xs, b, ys) {
+    // The buffers are plain scratch, fully rewritten before every call, so
+    // a panic mid-call leaves nothing the next batch could observe.
+    let result = match catch_unwind(AssertUnwindSafe(|| engine.matvec_batch_into(xs, b, ys))) {
+        Ok(result) => result.map_err(|e| ServeError::Engine(e.to_string())),
+        Err(payload) => {
+            stats.record_engine_panic();
+            Err(ServeError::Engine(format!(
+                "engine panicked: {}",
+                panic_message(payload.as_ref())
+            )))
+        }
+    };
+    match result {
         Ok(acct) => {
             if acct.outputs > 0 {
                 stats.record_quant(acct.outputs, acct.acc_saturations, acct.out_saturations);
@@ -196,13 +237,21 @@ fn execute(
                 }));
             }
         }
-        Err(e) => {
-            let err = ServeError::Engine(e.to_string());
+        Err(err) => {
             for req in batch.requests {
                 req.respond(Err(err.clone()));
             }
         }
     }
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -299,9 +348,13 @@ mod tests {
         let rx = Arc::new(Mutex::new(batch_rx));
         let engines = reg.worker_engines();
         let stats = Arc::new(StatsCore::new());
-        let handle = std::thread::spawn(move || run_worker(rx, engines, stats));
+        let (wake_tx, wake_rx) = sync_channel::<Msg>(1);
+        let handle =
+            std::thread::spawn(move || run_worker(rx, engines, stats, Arc::default(), wake_tx));
         drop(batch_tx);
         handle.join().unwrap();
+        // Reporting itself idle, the worker woke the (absent) batcher once.
+        assert!(matches!(wake_rx.try_recv(), Ok(Msg::Wake)));
     }
 
     #[test]

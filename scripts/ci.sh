@@ -34,7 +34,7 @@ cargo test -q --workspace "${CARGO_FLAGS[@]}"
 TIE_STRESS_SEED="${TIE_STRESS_SEED:-3735928559}"
 export TIE_STRESS_SEED
 echo "== tier-2: verification suites (TIE_STRESS_SEED=${TIE_STRESS_SEED}) =="
-for suite in differential epilogue_differential pipeline_differential golden properties serve_stress quant_kernels zero_alloc indexmap_fused shard_stress shard_chaos autotune_plans; do
+for suite in differential epilogue_differential pipeline_differential golden properties serve_stress quant_kernels zero_alloc indexmap_fused shard_stress shard_chaos autotune_plans pool_nested_serve; do
   echo "-- ${suite}, TIE_THREADS=1 --"
   TIE_THREADS=1 cargo test -q --test "${suite}" "${CARGO_FLAGS[@]}"
   echo "-- ${suite}, default thread count --"

@@ -160,6 +160,12 @@ fn stress_no_lost_duplicated_or_cross_wired_responses() {
             "every accepted request rode in exactly one batch"
         );
         assert!(stats.batches > 0);
+        assert_eq!(
+            stats.batches,
+            stats.full_batches + stats.deadline_batches + stats.idle_batches + stats.drain_batches,
+            "every batch has exactly one dispatch cause"
+        );
+        assert_eq!(stats.engine_panics, 0);
         assert!(stats.max_latency() >= stats.mean_latency());
     }
 }
@@ -242,6 +248,11 @@ fn stress_shutdown_under_load_drains_cleanly() {
         stats.submitted,
         stats.completed + stats.failed,
         "every accepted request resolved exactly once"
+    );
+    assert_eq!(
+        stats.batches,
+        stats.full_batches + stats.deadline_batches + stats.idle_batches + stats.drain_batches,
+        "every batch has exactly one dispatch cause"
     );
     // The batcher drains whatever was queued: batched_requests covers all
     // requests that reached a batch; the remainder failed at teardown.

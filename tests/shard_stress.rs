@@ -200,6 +200,7 @@ fn run_round(seed: u64, round: u64, config: ShardConfig) {
         global.batched_requests, global.submitted,
         "each request rode one batch"
     );
+    assert_dispatch_causes_reconcile(&global, "global");
 
     // Router ↔ replica reconciliation, per shard and in aggregate.
     assert_eq!(
@@ -223,6 +224,7 @@ fn run_round(seed: u64, round: u64, config: ShardConfig) {
             "shard {} balance",
             shard.shard
         );
+        assert_dispatch_causes_reconcile(&service_view, &format!("shard {}", shard.shard));
         if shard.routed > 0 {
             shards_with_traffic += 1;
         }
@@ -237,8 +239,18 @@ fn run_round(seed: u64, round: u64, config: ShardConfig) {
     assert_eq!(summed.completed, global.completed);
     assert_eq!(summed.failed, global.failed);
     assert_eq!(summed.batches, global.batches);
+    assert_eq!(summed.idle_batches, global.idle_batches);
     assert_eq!(summed.batched_requests, global.batched_requests);
     assert_eq!(summed.latency_ns_sum, global.latency_ns_sum);
+}
+
+/// Every batch leaves the batcher for exactly one reason.
+fn assert_dispatch_causes_reconcile(s: &tie::serve::ServiceStats, view: &str) {
+    assert_eq!(
+        s.batches,
+        s.full_batches + s.deadline_batches + s.idle_batches + s.drain_batches,
+        "{view}: batches vs the sum of dispatch causes"
+    );
 }
 
 /// Randomized configs per pool size; max_batch 1 and 8 are both always
