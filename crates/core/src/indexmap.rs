@@ -557,6 +557,14 @@ impl CopyPlan {
     pub fn apply_batched<T: Copy>(&self, src: &[T], dst: &mut [T], b: usize) {
         let rb = self.run * b;
         debug_assert!(dst.len() >= self.len() * b);
+        if rb == 1 {
+            // Single-element blocks (every Table 4 layer at batch 1): a
+            // plain gather, not one variable-length copy per element.
+            for (d, &s) in dst.iter_mut().zip(&self.src_starts) {
+                *d = src[s];
+            }
+            return;
+        }
         for (i, &s) in self.src_starts.iter().enumerate() {
             dst[i * rb..(i + 1) * rb].copy_from_slice(&src[s * b..s * b + rb]);
         }

@@ -311,21 +311,34 @@ struct ChunkChannel<T> {
     /// Set when a peer branch panicked; waiters bail out instead of
     /// blocking on a producer/consumer that no longer exists.
     poisoned: AtomicBool,
+    slab_len: usize,
 }
 
 impl<T: Copy + Default> ChunkChannel<T> {
-    fn new(slab_len: usize, slots: usize) -> Self {
-        let mut free = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            free.push(vec![T::default(); slab_len]);
-        }
-        ChunkChannel {
-            data: Mutex::new(VecDeque::with_capacity(slots + 1)),
+    fn new(slab_len: usize) -> Self {
+        let channel = ChunkChannel {
+            data: Mutex::new(VecDeque::with_capacity(CHANNEL_SLOTS + 1)),
             avail: Condvar::new(),
-            free: Mutex::new(free),
+            free: Mutex::new(Vec::with_capacity(CHANNEL_SLOTS)),
             space: Condvar::new(),
             poisoned: AtomicBool::new(false),
+            slab_len,
+        };
+        channel.heal();
+        channel
+    }
+
+    /// Returns the channel to its idle state after a poisoned run: queued
+    /// slabs go back to the free list, slabs dropped by an unwinding
+    /// branch are reallocated, and the flag clears. Only called while no
+    /// branch runs, so nothing races the reset.
+    fn heal(&self) {
+        let mut free = lock(&self.free);
+        free.extend(lock(&self.data).drain(..).map(|msg| msg.slab));
+        while free.len() < CHANNEL_SLOTS {
+            free.push(vec![T::default(); self.slab_len]);
         }
+        self.poisoned.store(false, Ordering::Release);
     }
 
     /// Takes a free slab to fill; `true` if the producer had to stall for
@@ -460,6 +473,35 @@ struct SegWs<T> {
     scratch_a: Vec<T>,
     scratch_b: Vec<T>,
     park: Vec<T>,
+    /// Planned lengths of the four buffers, in field order.
+    lens: [usize; 4],
+}
+
+impl<T: Copy + Default> SegWs<T> {
+    fn new(lens: [usize; 4]) -> Self {
+        let mut ws = SegWs {
+            inbuf: Vec::new(),
+            scratch_a: Vec::new(),
+            scratch_b: Vec::new(),
+            park: Vec::new(),
+            lens,
+        };
+        ws.heal();
+        ws
+    }
+
+    /// Reallocates any buffer a panicking run took and dropped.
+    fn heal(&mut self) {
+        let bufs = [
+            &mut self.inbuf,
+            &mut self.scratch_a,
+            &mut self.scratch_b,
+            &mut self.park,
+        ];
+        for (buf, &len) in bufs.into_iter().zip(&self.lens) {
+            buf.resize(len, T::default());
+        }
+    }
 }
 
 /// Pipeline-parallel executor for one layer's stage chain (module docs).
@@ -480,6 +522,9 @@ pub struct StagePipeline<C: StageChain> {
     counters: Vec<SegCounters>,
     reports: Vec<Mutex<C::Report>>,
     call_lock: Mutex<()>,
+    /// Set when a run panicked; the next run heals channels and
+    /// workspaces before it starts.
+    faulted: AtomicBool,
 }
 
 impl<C: StageChain> std::fmt::Debug for StagePipeline<C> {
@@ -551,7 +596,7 @@ impl<C: StageChain> StagePipeline<C> {
 
         let channels = cut.runs()[..depth - 1]
             .iter()
-            .map(|run| ChunkChannel::new(stages[run.hi].input_elems() * micro, CHANNEL_SLOTS))
+            .map(|run| ChunkChannel::new(stages[run.hi].input_elems() * micro))
             .collect();
         let segs = cut
             .runs()
@@ -574,12 +619,7 @@ impl<C: StageChain> StagePipeline<C> {
                 } else {
                     0
                 };
-                Mutex::new(SegWs {
-                    inbuf: vec![C::Code::default(); inbuf],
-                    scratch_a: vec![C::Code::default(); scratch_a],
-                    scratch_b: vec![C::Code::default(); scratch_b],
-                    park: vec![C::Code::default(); park],
-                })
+                Mutex::new(SegWs::new([inbuf, scratch_a, scratch_b, park]))
             })
             .collect();
         let counters = (0..depth).map(|_| SegCounters::default()).collect();
@@ -596,6 +636,7 @@ impl<C: StageChain> StagePipeline<C> {
             counters,
             reports,
             call_lock: Mutex::new(()),
+            faulted: AtomicBool::new(false),
         })
     }
 
@@ -676,6 +717,17 @@ impl<C: StageChain> StagePipeline<C> {
         }
 
         let _call = lock(&self.call_lock);
+        // A panicked run leaves poisoned channels and dropped slabs behind.
+        // The previous `host.run` joined every branch, so under the call
+        // lock nothing else touches them: restore them before this run.
+        if self.faulted.swap(false, Ordering::AcqRel) {
+            for ch in &self.channels {
+                ch.heal();
+            }
+            for seg in &self.segs {
+                lock(seg).heal();
+            }
+        }
         let chunks = b.div_ceil(self.micro);
         let before = self.totals();
         for slot in &self.reports {
@@ -688,6 +740,7 @@ impl<C: StageChain> StagePipeline<C> {
                 self.segment_body(branch, xs, b, chunks, &ys_cell);
             }));
             if let Err(payload) = body {
+                self.faulted.store(true, Ordering::Release);
                 for ch in &self.channels {
                     ch.poison();
                 }
@@ -913,6 +966,14 @@ impl StageChain for FloatChain {
         // The batched copy plan, restricted to a column slice: each
         // logical element's `w` columns are contiguous in both layouts.
         let run = self.prep.run;
+        if run * w == 1 {
+            // Single-element blocks: a plain gather (see
+            // `CopyPlan::apply_batched`).
+            for (d, &src) in dst.iter_mut().zip(&self.prep.src_starts) {
+                *d = xs[src * b + c0];
+            }
+            return;
+        }
         for (i, &src) in self.prep.src_starts.iter().enumerate() {
             for e in 0..run {
                 let d0 = (i * run + e) * w;

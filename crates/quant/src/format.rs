@@ -36,8 +36,17 @@ impl QFormat {
     }
 
     /// Quantization step `2^-frac_bits`.
+    #[inline]
     pub fn step(&self) -> f64 {
-        (2.0f64).powi(-(self.frac_bits as i32))
+        // Built from the exponent field: `powi` compiles to a
+        // `__powidf2` call, paid per element by a dequantize loop.
+        f64::from_bits((1023 - u64::from(self.frac_bits)) << 52)
+    }
+
+    /// Scale `2^frac_bits` applied before rounding.
+    #[inline]
+    fn scale(&self) -> f64 {
+        f64::from(1u32 << self.frac_bits)
     }
 
     /// Largest representable value.
@@ -51,22 +60,54 @@ impl QFormat {
     }
 
     /// Quantizes a real value: round-to-nearest-even scaling, saturating at
-    /// the container bounds.
+    /// the container bounds. NaN maps to code 0.
+    #[inline]
     pub fn quantize(&self, x: f64) -> i16 {
-        let scaled = x * (1u32 << self.frac_bits) as f64;
-        let rounded = scaled.round_ties_even();
-        rounded.clamp(i16::MIN as f64, i16::MAX as f64) as i16
+        round_code(x * self.scale())
     }
 
-    /// True if quantizing `x` would saturate.
+    /// Quantizes `src` element-wise into `dst` ([`QFormat::quantize`] per
+    /// element, bit for bit). The loop has no calls, so it vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    #[inline]
+    pub fn quantize_into(&self, src: &[f64], dst: &mut [i16]) {
+        assert_eq!(src.len(), dst.len(), "quantize_into length mismatch");
+        let scale = self.scale();
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d = round_code(x * scale);
+        }
+    }
+
+    /// True if quantizing `x` would saturate: its scaled value rounds
+    /// (half to even) past a container bound. `32767.5` rounds up to the
+    /// even `32768`, `-32768.5` to the even `-32768`.
     pub fn saturates(&self, x: f64) -> bool {
-        let scaled = (x * (1u32 << self.frac_bits) as f64).round_ties_even();
-        scaled > i16::MAX as f64 || scaled < i16::MIN as f64
+        let scaled = x * self.scale();
+        scaled >= i16::MAX as f64 + 0.5 || scaled < i16::MIN as f64 - 0.5
     }
 
     /// Dequantizes a raw code back to a real value.
+    #[inline]
     pub fn dequantize(&self, q: i16) -> f64 {
-        q as f64 * self.step()
+        f64::from(q) * self.step()
+    }
+
+    /// Dequantizes `src` element-wise into `dst` ([`QFormat::dequantize`]
+    /// per element, bit for bit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    #[inline]
+    pub fn dequantize_into(&self, src: &[i16], dst: &mut [f64]) {
+        assert_eq!(src.len(), dst.len(), "dequantize_into length mismatch");
+        let step = self.step();
+        for (d, &q) in dst.iter_mut().zip(src) {
+            *d = f64::from(q) * step;
+        }
     }
 
     /// Picks the largest fraction-bit count whose range covers
@@ -91,6 +132,28 @@ impl QFormat {
     }
 }
 
+/// Rounds a scaled value half-to-even into the 16-bit container,
+/// saturating at its bounds; NaN maps to 0.
+///
+/// Clamping before rounding is exact because both bounds are integers.
+/// Adding `1.5·2⁵²` then rounds to the nearest integer under the default
+/// ties-to-even mode: every clamped value lands in `[2⁵², 2⁵³)`, where
+/// the spacing of doubles is exactly 1, and the sum's low mantissa bits
+/// hold that integer in two's complement, so its low 16 bits are the
+/// code. On the baseline x86-64 target `round_ties_even` is a `rint`
+/// library call per element and the saturating `as i16` a compare chain;
+/// this is one addition and a bit cast, and it vectorizes.
+#[inline(always)]
+fn round_code(scaled: f64) -> i16 {
+    const SHIFTER: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+    let c = if scaled.is_nan() {
+        0.0
+    } else {
+        scaled.clamp(i16::MIN as f64, i16::MAX as f64)
+    };
+    (c + SHIFTER).to_bits() as i16
+}
+
 impl Default for QFormat {
     /// Q4.11: range ±16, a serviceable default for unit-scale activations.
     fn default() -> Self {
@@ -112,6 +175,115 @@ impl std::fmt::Display for QFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference rounding: scale, round half-to-even with the library
+    /// routine, then saturate. `quantize` must match it bit for bit.
+    fn oracle(fmt: QFormat, x: f64) -> i16 {
+        let scaled = x * (1u32 << fmt.frac_bits()) as f64;
+        scaled
+            .round_ties_even()
+            .clamp(i16::MIN as f64, i16::MAX as f64) as i16
+    }
+
+    /// The reference saturation test on the oracle's rounding.
+    fn oracle_saturates(fmt: QFormat, x: f64) -> bool {
+        let scaled = (x * (1u32 << fmt.frac_bits()) as f64).round_ties_even();
+        scaled > i16::MAX as f64 || scaled < i16::MIN as f64
+    }
+
+    /// Checks `quantize`, `quantize_into` and `saturates` against the
+    /// oracles on `xs`.
+    fn assert_matches_oracle(fmt: QFormat, xs: &[f64]) {
+        let mut codes = vec![0i16; xs.len()];
+        fmt.quantize_into(xs, &mut codes);
+        for (&x, &code) in xs.iter().zip(&codes) {
+            let want = oracle(fmt, x);
+            assert_eq!(fmt.quantize(x), want, "{fmt}: quantize({x:e})");
+            assert_eq!(code, want, "{fmt}: quantize_into({x:e})");
+            assert_eq!(
+                fmt.saturates(x),
+                oracle_saturates(fmt, x),
+                "{fmt}: saturates({x:e})"
+            );
+        }
+    }
+
+    #[test]
+    fn rounding_matches_the_library_oracle_on_every_tie() {
+        for f in 0..QFormat::CONTAINER_BITS {
+            let fmt = QFormat::new(f).unwrap();
+            // Every half-integer k/2 of the scaled value over
+            // [-32769, 32768], and one ulp either side of each.
+            let mut xs = Vec::with_capacity(3 * 131_076);
+            for k in -65_538i32..=65_536 {
+                let x = f64::from(k) / 2.0 / fmt.scale();
+                xs.extend([x.next_down(), x, x.next_up()]);
+            }
+            assert_matches_oracle(fmt, &xs);
+        }
+    }
+
+    #[test]
+    fn rounding_matches_the_library_oracle_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for f in 0..QFormat::CONTAINER_BITS {
+            let fmt = QFormat::new(f).unwrap();
+            assert_matches_oracle(fmt, &specials);
+            assert_eq!(fmt.quantize(f64::NAN), 0, "{fmt}: NaN maps to 0");
+            assert_eq!(fmt.quantize(f64::INFINITY), i16::MAX);
+            assert_eq!(fmt.quantize(f64::NEG_INFINITY), i16::MIN);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn rounding_matches_the_library_oracle_on_any_bit_pattern(
+            bits in 0u64..u64::MAX,
+            f in 0u32..QFormat::CONTAINER_BITS,
+        ) {
+            let fmt = QFormat::new(f).unwrap();
+            let x = f64::from_bits(bits);
+            let mut code = [0i16];
+            fmt.quantize_into(&[x], &mut code);
+            prop_assert_eq!(fmt.quantize(x), oracle(fmt, x), "{} {:e}", fmt, x);
+            prop_assert_eq!(code[0], oracle(fmt, x), "{} {:e}", fmt, x);
+            prop_assert_eq!(fmt.saturates(x), oracle_saturates(fmt, x), "{} {:e}", fmt, x);
+        }
+    }
+
+    #[test]
+    fn dequantize_matches_code_times_step() {
+        let codes: Vec<i16> = (i16::MIN..=i16::MAX).collect();
+        let mut ys = vec![0.0f64; codes.len()];
+        for f in 0..QFormat::CONTAINER_BITS {
+            let fmt = QFormat::new(f).unwrap();
+            assert_eq!(fmt.step(), (2.0f64).powi(-(f as i32)), "{fmt}: step");
+            fmt.dequantize_into(&codes, &mut ys);
+            for (&q, &y) in codes.iter().zip(&ys) {
+                let want = q as f64 * fmt.step();
+                assert_eq!(fmt.dequantize(q).to_bits(), want.to_bits(), "{fmt}: {q}");
+                assert_eq!(y.to_bits(), want.to_bits(), "{fmt}: dequantize_into {q}");
+            }
+        }
+    }
 
     #[test]
     fn new_rejects_too_many_frac_bits() {

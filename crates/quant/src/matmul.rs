@@ -126,7 +126,10 @@ pub fn alignment(a: QFormat, b: QFormat, out: QFormat) -> (u32, u32) {
 /// subsequent clamp lands identically.
 ///
 /// `x >> 0` is the identity and both halves are 0 then, so the shifts
-/// need no branch in the lane loop. Epilogues see the post-clip `i32`
+/// need no branch in the lane loop. The sticky accumulator-saturation
+/// flag is an `i32` that ORs in `clamped ^ sum`, nonzero exactly when the
+/// clamp fired: one bitwise op per lane where a `bool` cost a compare
+/// into a mask register and a mask OR. Epilogues see the post-clip `i32`
 /// code (both saturation counters already taken); [`RequantRelu`]'s
 /// `max(0)` there equals `max(0)` on the narrowed `i16`.
 #[derive(Debug, Clone, Copy)]
@@ -162,7 +165,7 @@ impl Datapath for QuantPath {
     type In = i16;
     type Out = i16;
     type Lane = i32;
-    type Sat = bool;
+    type Sat = i32;
     type EpiV = i32;
     type Stats = (u64, u64);
     type Sink = SatSink;
@@ -172,27 +175,27 @@ impl Datapath for QuantPath {
         0
     }
     #[inline(always)]
-    fn sat_zero(self) -> bool {
-        false
+    fn sat_zero(self) -> i32 {
+        0
     }
     #[inline(always)]
-    fn mac(self, lane: &mut i32, sat: &mut bool, a: i16, b: i16) {
+    fn mac(self, lane: &mut i32, sat: &mut i32, a: i16, b: i16) {
         let shifted = (a as i32 * b as i32 + self.prod_half) >> self.prod_shift;
         let sum = *lane + shifted;
         let clamped = sum.clamp(Accumulator::MIN, Accumulator::MAX);
-        *sat |= clamped != sum;
+        *sat |= clamped ^ sum;
         *lane = clamped;
     }
     #[inline(always)]
     fn finish<E: Epilogue<i32>>(
         self,
         lane: i32,
-        sat: bool,
+        sat: i32,
         e: usize,
         epi: &E,
         stats: &mut (u64, u64),
     ) -> i16 {
-        stats.0 += u64::from(sat);
+        stats.0 += u64::from(sat != 0);
         let v = (lane + self.out_half) >> self.out_shift;
         let clipped = v.clamp(i16::MIN as i32, i16::MAX as i32);
         stats.1 += u64::from(clipped != v);

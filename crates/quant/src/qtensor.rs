@@ -16,13 +16,20 @@ pub struct QTensor {
 impl QTensor {
     /// Quantizes a real tensor (round-to-nearest, saturating).
     pub fn quantize<T: Scalar>(t: &Tensor<T>, format: QFormat) -> Self {
+        // Widen through a small stack buffer so the quantize loop runs on
+        // f64 slices without a second heap copy of the tensor.
+        let mut data = vec![0i16; t.data().len()];
+        let mut reals = [0.0f64; 256];
+        for (src, dst) in t.data().chunks(256).zip(data.chunks_mut(256)) {
+            let reals = &mut reals[..src.len()];
+            for (r, v) in reals.iter_mut().zip(src) {
+                *r = v.to_f64();
+            }
+            format.quantize_into(reals, dst);
+        }
         QTensor {
             shape: t.shape().clone(),
-            data: t
-                .data()
-                .iter()
-                .map(|v| format.quantize(v.to_f64()))
-                .collect(),
+            data,
             format,
         }
     }
@@ -86,14 +93,10 @@ impl QTensor {
 
     /// Converts back to a real tensor.
     pub fn dequantize(&self) -> Tensor<f64> {
-        Tensor::from_vec(
-            self.shape.dims().to_vec(),
-            self.data
-                .iter()
-                .map(|&q| self.format.dequantize(q))
-                .collect(),
-        )
-        .expect("shape matches data by construction")
+        let mut reals = vec![0.0f64; self.data.len()];
+        self.format.dequantize_into(&self.data, &mut reals);
+        Tensor::from_vec(self.shape.dims().to_vec(), reals)
+            .expect("shape matches data by construction")
     }
 
     /// Code at a flat offset.

@@ -758,7 +758,7 @@ impl TieAccelerator {
         // sample's output.
         let m = shape.num_rows();
         let final_sram = &self.working[d % 2];
-        let (rows, _) = final_sram.dims();
+        let (rows, cols) = final_sram.dims();
         let m1 = shape.row_modes[0];
         let v1_cols = m / m1;
         debug_assert_eq!(rows, m1);
@@ -766,10 +766,10 @@ impl TieAccelerator {
         for b in 0..batch {
             let mut v1 = Tensor::<f64>::zeros(vec![m1, v1_cols]);
             for r in 0..m1 {
-                for c in 0..v1_cols {
-                    v1.data_mut()[r * v1_cols + c] =
-                        in_format.dequantize(final_sram.peek(r, b * v1_cols + c));
-                }
+                in_format.dequantize_into(
+                    &final_sram.contents()[r * cols + b * v1_cols..][..v1_cols],
+                    &mut v1.data_mut()[r * v1_cols..][..v1_cols],
+                );
             }
             let y = assemble_output(&v1, shape)?;
             for r in 0..m {

@@ -334,14 +334,12 @@ impl QuantizedEngine {
             ws.pong.resize(per_buf, 0);
         }
         let (mut cur, mut nxt) = (&mut ws.ping, &mut ws.pong);
-        // Quantize straight into the prepared-input layout (Eqn. (8)):
-        // minimal contiguous blocks, quantizing as we place.
-        let rb = self.prep_plan.run * b;
-        for (i, &src) in self.prep_plan.src_starts.iter().enumerate() {
-            for e in 0..rb {
-                cur[i * rb + e] = self.input_format.quantize(xs[src * b + e]);
-            }
-        }
+        // Quantize the input contiguously into the spare buffer (a
+        // vectorized pass), then lay the 16-bit codes out in the
+        // prepared-input order of Eqn. (8) with the minimal copy plan: the
+        // gather then moves a quarter of the bytes it would move as f64.
+        self.input_format.quantize_into(xs, &mut nxt[..n * b]);
+        self.prep_plan.apply_batched(&nxt[..n * b], cur, b);
         let mut in_format = self.input_format;
         for (idx, h) in (1..=d).rev().enumerate() {
             let stage = &self.plan.stages()[idx];
@@ -381,9 +379,7 @@ impl QuantizedEngine {
         }
         // The final stage wrote its codes in assembled order: dequantize
         // contiguously into the caller's buffer.
-        for (y, &code) in ys.iter_mut().zip(cur[..m * b].iter()) {
-            *y = in_format.dequantize(code);
-        }
+        in_format.dequantize_into(&cur[..m * b], ys);
         Ok(report)
     }
 }

@@ -106,13 +106,20 @@ impl StageChain for QuantChain {
         // chunk's columns — the same element-wise quantize the sequential
         // engine applies, so the codes agree bit-for-bit.
         let run = self.prep_run;
+        let fmt = self.input_format;
+        if run * w == 1 {
+            // Single-element blocks: a plain gather, as in the sequential
+            // engine.
+            for (d, &src) in dst.iter_mut().zip(&self.prep_src_starts) {
+                *d = fmt.quantize(xs[src * b + c0]);
+            }
+            return;
+        }
         for (i, &src) in self.prep_src_starts.iter().enumerate() {
             for e in 0..run {
                 let d0 = (i * run + e) * w;
                 let s0 = (src + e) * b + c0;
-                for j in 0..w {
-                    dst[d0 + j] = self.input_format.quantize(xs[s0 + j]);
-                }
+                fmt.quantize_into(&xs[s0..][..w], &mut dst[d0..][..w]);
             }
         }
     }
@@ -151,10 +158,9 @@ impl StageChain for QuantChain {
     }
 
     fn finish(&self, codes: &[i16], ys: &mut [f64], b: usize, c0: usize, w: usize) {
+        let fmt = self.output_format;
         for o in 0..self.rows {
-            for j in 0..w {
-                ys[o * b + c0 + j] = self.output_format.dequantize(codes[o * w + j]);
-            }
+            fmt.dequantize_into(&codes[o * w..][..w], &mut ys[o * b + c0..][..w]);
         }
     }
 

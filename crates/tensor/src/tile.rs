@@ -332,7 +332,7 @@ pub trait Datapath: Copy + Sync {
     /// Input element type of `A` and `B`.
     type In: Copy + Sync;
     /// Output element type written to `C`.
-    type Out: Copy;
+    type Out: Copy + Default;
     /// Per-lane accumulator state.
     type Lane: Copy;
     /// Per-lane sticky saturation flag (`()` for exact paths). Kept in a
@@ -690,10 +690,19 @@ struct StreamJob<'a, P: Datapath, D, E> {
 }
 
 /// Retires one row of a register tile: lane `t` is GEMM column `jt + t` of
-/// logical row whose destination row offset is `base_row`. Lanes are
-/// retired in runs that share one logical column `q`: the `bsz` samples of
-/// a column are contiguous in the destination, so each run is one
-/// destination lookup and a contiguous, vectorizable store.
+/// logical row whose destination row offset is `base_row`.
+///
+/// `UNIT` means `bsz == 1`: each lane is its own logical column
+/// `q = jt + t`, and the row retires in two passes. The first computes
+/// every lane's destination element and finished value (a contiguous
+/// offset read and the datapath's narrowing plus epilogue, with no store
+/// through the map, so it vectorizes); the second is a plain store per
+/// lane.
+///
+/// Otherwise lanes are retired in runs that share one logical column
+/// `q`: the `bsz` samples of a column are contiguous in the destination,
+/// so each run is one destination lookup and a contiguous, vectorizable
+/// store.
 ///
 /// # Safety
 ///
@@ -703,18 +712,42 @@ struct StreamJob<'a, P: Datapath, D, E> {
 #[allow(unsafe_code)]
 #[allow(clippy::too_many_arguments)] // kernel-internal ABI: dims + state are positional
 #[inline(always)]
-unsafe fn finish_store<P: Datapath, D: Dest, E: Epilogue<P::EpiV>>(
+unsafe fn finish_store<
+    P: Datapath,
+    D: Dest,
+    E: Epilogue<P::EpiV>,
+    const W: usize,
+    const UNIT: bool,
+>(
     path: P,
     c: *mut P::Out,
     base_row: usize,
     dest: &D,
     bsz: usize,
     jt: usize,
-    lanes: &[P::Lane],
-    sats: &[P::Sat],
+    lanes: &[P::Lane; W],
+    sats: &[P::Sat; W],
     epi: &E,
     stats: &mut P::Stats,
 ) {
+    if UNIT {
+        let mut es = [0usize; W];
+        for (t, e) in es.iter_mut().enumerate() {
+            *e = base_row + dest.col_off(jt + t);
+        }
+        let mut outs = [P::Out::default(); W];
+        for ((out, &e), (&lane, &sat)) in outs.iter_mut().zip(&es).zip(lanes.iter().zip(sats)) {
+            *out = path.finish(lane, sat, e, epi, stats);
+        }
+        for (&e, &v) in es.iter().zip(&outs) {
+            // SAFETY: `e < dest.rows()·dest.cols()` by the `Dest`
+            // bijection invariant (see trait docs).
+            unsafe {
+                *c.add(e) = v;
+            }
+        }
+        return;
+    }
     let mut q = jt / bsz;
     let mut cb = jt - q * bsz;
     let mut t = 0;
@@ -742,6 +775,21 @@ impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> TileJob for StreamJob<'_, P, D,
 
     #[inline(always)]
     fn run<const TJ: usize, const R: usize>(self) -> P::Stats {
+        // Separate instantiations per retire path, so the batch-1 path's
+        // stack arrays never share a loop body with the run path.
+        if self.bsz == 1 {
+            self.sweep::<TJ, R, true>()
+        } else {
+            self.sweep::<TJ, R, false>()
+        }
+    }
+}
+
+impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> StreamJob<'_, P, D, E> {
+    /// The span's loop nest at one register-tile instantiation; `UNIT`
+    /// is `bsz == 1` (see `finish_store`).
+    #[inline(always)]
+    fn sweep<const TJ: usize, const R: usize, const UNIT: bool>(self) -> P::Stats {
         let StreamJob {
             path,
             a,
@@ -787,7 +835,7 @@ impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> TileJob for StreamJob<'_, P, D,
                     // `finish_store`.
                     #[allow(unsafe_code)]
                     unsafe {
-                        finish_store(
+                        finish_store::<P, D, E, TJ, UNIT>(
                             path,
                             c,
                             dest.row_base(i + r),
@@ -817,7 +865,7 @@ impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> TileJob for StreamJob<'_, P, D,
                 // SAFETY: row `i` belongs to this span; see `finish_store`.
                 #[allow(unsafe_code)]
                 unsafe {
-                    finish_store(
+                    finish_store::<P, D, E, TJ, UNIT>(
                         path,
                         c,
                         dest.row_base(i),
@@ -846,7 +894,7 @@ impl<P: Datapath, D: Dest, E: Epilogue<P::EpiV>> TileJob for StreamJob<'_, P, D,
                 // SAFETY: single in-range offset; see `finish_store`.
                 #[allow(unsafe_code)]
                 unsafe {
-                    finish_store(
+                    finish_store::<P, D, E, 1, UNIT>(
                         path,
                         c,
                         dest.row_base(i),

@@ -94,6 +94,18 @@ echo "== tier-2: mapped vs plain stage GEMM ratio gate, default thread count =="
 cargo test -q --release --test indexmap_fused \
   "${CARGO_FLAGS[@]}" mapped_stage_gemm_within_ratio_of_gemm_into_on_table4 -- --ignored
 
+# Batch-1 ratio gate (DESIGN.md §16.6): on every Table 4 layer, a batch-1
+# quantized engine call takes at most 1.6x a float engine call, and the
+# fused float engine is no slower than the gather oracle at batch 1 and
+# 16. Medians of calls alternated within one process, so host speed
+# cancels. Needs --release; both thread settings.
+echo "== tier-2: batch-1 quantized/float and fused/gather ratio gate, TIE_THREADS=1 =="
+TIE_THREADS=1 cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" batch1_quantized_and_fused_float_within_ratio_on_table4 -- --ignored
+echo "== tier-2: batch-1 quantized/float and fused/gather ratio gate, default thread count =="
+cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" batch1_quantized_and_fused_float_within_ratio_on_table4 -- --ignored
+
 # Autotuner determinism + budget gate (autotune PR, DESIGN.md §17): the
 # pinned LSTM-UCF11/LSTM-Youtube searches must reproduce the committed
 # golden tuned-plan fixtures byte-for-byte at both thread settings (the

@@ -10,8 +10,8 @@
 //!   Bias, BiasRelu} × {RowMajor, identity `DestMap`, permuted `DestMap`}
 //!   × pool {1, 8};
 //! * quantized: {dispatched `IntAuto`, forced-portable} × {Requant,
-//!   RequantRelu} × {row-major, permuted `DestMap`} × pool {1, 8}, with
-//!   saturation reports compared exactly.
+//!   RequantRelu} × {row-major, permuted `DestMap`} × batch width {1, 3}
+//!   × pool {1, 8}, with saturation reports compared exactly.
 //!
 //! The dispatched kernels are reached through the one public entry per
 //! datapath (`gemm_into_mapped`, `qmatmul_raw_mapped`, plus the row-major
@@ -252,11 +252,12 @@ fn heavy_codes(len: usize, seed: u64) -> Vec<i16> {
         .collect()
 }
 
-/// Quantized lattice for one shape at the current pool size: both kernels
-/// (dispatched via `qmatmul_raw_mapped`, forced-portable via
-/// `stream_gemm`) × {Requant, RequantRelu} × {row-major, permuted map}
+/// Quantized lattice for one shape and batch width at the current pool
+/// size: both kernels (dispatched via `qmatmul_raw_mapped`, forced-portable
+/// via `stream_gemm`) × {Requant, RequantRelu} × {row-major, permuted map}
 /// against naive-then-scatter-then-relu, codes and reports exact.
-fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
+fn quant_lattice(m: usize, k: usize, n_mat: usize, bsz: usize, seed: u64) {
+    let n = n_mat * bsz;
     let a = QTensor::from_codes(
         vec![m, k],
         heavy_codes(m * k, seed),
@@ -264,8 +265,8 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     )
     .unwrap();
     let b = QTensor::from_codes(
-        vec![k, n_mat],
-        heavy_codes(k * n_mat, seed ^ 0xabcd),
+        vec![k, n],
+        heavy_codes(k * n, seed ^ 0xabcd),
         QFormat::new(8).unwrap(),
     )
     .unwrap();
@@ -280,13 +281,13 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
 
     // The row-major entry the loadbench stage timings and `qmatmul_into`
     // ride.
-    let mut got = vec![0i16; m * n_mat];
+    let mut got = vec![0i16; m * n];
     let r = qmatmul_raw(
         a.codes(),
         b.codes(),
         m,
         k,
-        n_mat,
+        n,
         prod_shift,
         out_shift,
         &mut got,
@@ -294,7 +295,7 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     assert_eq!(
         &got[..],
         c_naive.codes(),
-        "raw vs naive codes ({m}x{k}x{n_mat})"
+        "raw vs naive codes ({m}x{k}x{n})"
     );
     assert_eq!(r, r_naive, "raw vs naive report");
 
@@ -302,14 +303,17 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     let permuted = permuted_map(m, n_mat);
     for act in [Activation::Identity, Activation::Relu] {
         for (map, mapped) in [(&identity, false), (&permuted, true)] {
-            let mut want = vec![0i16; m * n_mat];
+            let mut want = vec![0i16; m * n];
             for i in 0..m {
                 for q in 0..n_mat {
-                    let v = c_naive.codes()[i * n_mat + q];
-                    want[map.offset(i, q)] = if act == Activation::Relu { v.max(0) } else { v };
+                    for cb in 0..bsz {
+                        let v = c_naive.codes()[i * n + q * bsz + cb];
+                        want[map.offset(i, q) * bsz + cb] =
+                            if act == Activation::Relu { v.max(0) } else { v };
+                    }
                 }
             }
-            let what = format!("{act:?}, mapped {mapped} ({m}x{k}x{n_mat})");
+            let what = format!("{act:?}, mapped {mapped} ({m}x{k}x{n_mat}, bsz {bsz})");
 
             let r = qmatmul_raw_mapped(
                 a.codes(),
@@ -317,7 +321,7 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
                 m,
                 k,
                 n_mat,
-                1,
+                bsz,
                 prod_shift,
                 out_shift,
                 &mut got,
@@ -327,7 +331,7 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
             assert_eq!(got, want, "dispatched codes, {what}");
             assert_eq!(r, r_naive, "dispatched report, {what}");
 
-            let mut port = vec![0i16; m * n_mat];
+            let mut port = vec![0i16; m * n];
             let path = QuantPath::new(prod_shift, out_shift);
             let kern = PortableTile::<8, 1>;
             macro_rules! run_portable {
@@ -342,7 +346,7 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
                             m,
                             k,
                             n_mat,
-                            1,
+                            bsz,
                             &Mapped::new(map),
                             $epi,
                         )
@@ -356,7 +360,7 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
                             m,
                             k,
                             n_mat,
-                            1,
+                            bsz,
                             &RowMajor::new(m, n_mat),
                             $epi,
                         )
@@ -378,7 +382,9 @@ fn quant_kernel_epilogue_dest_lattice_matches_oracle_at_pool_1_and_8() {
     for (threads, seed) in [(1usize, 0x61u64), (8, 0x62)] {
         let prev = parallel::set_num_threads(threads);
         for (si, &(m, k, n_mat)) in SHAPES.iter().enumerate() {
-            quant_lattice(m, k, n_mat, seed + si as u64 * 37);
+            for bsz in [1usize, 3] {
+                quant_lattice(m, k, n_mat, bsz, seed + si as u64 * 37);
+            }
         }
         parallel::set_num_threads(prev);
     }

@@ -1,7 +1,7 @@
 //! Integration suite for the fused-Transform indexing-map compiler
 //! (DESIGN.md §13).
 //!
-//! Three promises are held here, end to end:
+//! Five promises are held here, end to end:
 //!
 //! 1. The composed affine maps (`stage_transform_map`, `prepare_map`,
 //!    `assemble_map`) agree **index-for-index** with the legacy
@@ -18,6 +18,10 @@
 //!    mapped stage GEMM takes at most 2.5× the time of plain `gemm_into`
 //!    on the same operands — a ratio measured in one process, so host
 //!    speed cancels.
+//! 5. (`--ignored`, release CI) on every Table 4 layer, a batch-1
+//!    quantized engine call takes at most 1.6× a float engine call, and
+//!    the fused float engine is no slower than the gather oracle at
+//!    batch 1 and 16 — again ratios within one process.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -308,5 +312,105 @@ fn mapped_stage_gemm_within_ratio_of_gemm_into_on_table4() {
     assert!(
         failures.is_empty(),
         "mapped/gemm_into stage-time ratio above {MAX_RATIO}: {failures:?}"
+    );
+}
+
+/// Promise 5 (release CI, `--ignored`): batch-1 calls run at memory speed.
+/// On every Table 4 layer, with the engines alternated call by call and
+/// the median of `CALLS` calls taken:
+///
+/// (a) a batch-1 `QuantizedEngine` call takes at most 1.6× a
+///     `CompactEngine` call on the same cores. It reads 1.8–2.4× on the
+///     LSTM layers when quantization pays a `rint` library call per
+///     element and the batch-1 retire walks runs of length one;
+/// (b) the fused float engine takes no longer than the gather oracle
+///     (`matvec_batch_into_gather`: plain GEMM plus a separate
+///     permutation pass) at batch 1 and 16.
+#[test]
+#[ignore = "wall-clock ratio gate; run in release via scripts/ci.sh"]
+fn batch1_quantized_and_fused_float_within_ratio_on_table4() {
+    const MAX_QUANT_RATIO: f64 = 1.6;
+    const MAX_FUSED_RATIO: f64 = 1.0;
+    const CALLS: usize = 31;
+    let median = |mut v: Vec<f64>| -> f64 {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let time = |f: &mut dyn FnMut()| -> f64 {
+        let t0 = std::time::Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(0x713E_000A);
+    let mut failures = Vec::new();
+    for bench in table4_benchmarks() {
+        let ttm = TtMatrix::<f64>::random(&mut rng, &bench.shape, 0.5).unwrap();
+        let float = CompactEngine::new(ttm.clone()).unwrap();
+        let quant = QuantizedEngine::new(ttm, QuantConfig::default()).unwrap();
+        let (n, m) = (bench.shape.num_cols(), bench.shape.num_rows());
+
+        // (a) quantized vs float at batch 1.
+        let x = batch_input(&mut rng, n, 1);
+        let mut y = vec![0.0f64; m];
+        let mut run_quant = || {
+            quant.matvec_batch_into(&x, 1, &mut y).unwrap();
+        };
+        run_quant();
+        let mut y2 = vec![0.0f64; m];
+        let mut run_float = || {
+            float.matvec_batch_into(&x, 1, &mut y2).unwrap();
+        };
+        run_float();
+        let (mut tq, mut tf) = (Vec::with_capacity(CALLS), Vec::with_capacity(CALLS));
+        for _ in 0..CALLS {
+            tq.push(time(&mut run_quant));
+            tf.push(time(&mut run_float));
+        }
+        let (q_s, f_s) = (median(tq), median(tf));
+        let ratio = q_s / f_s;
+        eprintln!(
+            "{}: b1 quantized {:.3} ms, float {:.3} ms, ratio {ratio:.2}",
+            bench.name,
+            q_s * 1e3,
+            f_s * 1e3
+        );
+        if ratio > MAX_QUANT_RATIO {
+            failures.push(format!("{} quantized/float b1 {ratio:.2}", bench.name));
+        }
+
+        // (b) fused float vs the gather oracle at batch 1 and 16.
+        for b in [1usize, 16] {
+            let xs = batch_input(&mut rng, n, b);
+            let mut ys = vec![0.0f64; m * b];
+            let mut run_fused = || {
+                float.matvec_batch_into(&xs, b, &mut ys).unwrap();
+            };
+            run_fused();
+            let mut yg = vec![0.0f64; m * b];
+            let mut run_gather = || {
+                float.matvec_batch_into_gather(&xs, b, &mut yg).unwrap();
+            };
+            run_gather();
+            let (mut tfu, mut tg) = (Vec::with_capacity(CALLS), Vec::with_capacity(CALLS));
+            for _ in 0..CALLS {
+                tfu.push(time(&mut run_fused));
+                tg.push(time(&mut run_gather));
+            }
+            let (fu_s, g_s) = (median(tfu), median(tg));
+            let ratio = fu_s / g_s;
+            eprintln!(
+                "{}: b{b} fused {:.3} ms, gather {:.3} ms, ratio {ratio:.2}",
+                bench.name,
+                fu_s * 1e3,
+                g_s * 1e3
+            );
+            if ratio > MAX_FUSED_RATIO {
+                failures.push(format!("{} fused/gather b{b} {ratio:.2}", bench.name));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "batch-1 ratio gate failed: {failures:?}"
     );
 }

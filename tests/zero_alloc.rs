@@ -292,3 +292,113 @@ fn steady_state_epilogue_fused_engines_hold_across_batch_sizes() {
     // Sanity: the ReLU really fired — every served output is non-negative.
     assert!(ys[..m].iter().all(|&v| v >= 0.0));
 }
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use tie::core::pipeline::{FloatChain, PipelineConfig, StageChain, StagePipeline};
+
+/// A float chain whose stage `fail_at` panics once when armed: a stand-in
+/// for a stage fault inside a served pipelined layer.
+struct PanicOnce {
+    inner: FloatChain,
+    fail_at: usize,
+    armed: AtomicBool,
+}
+
+impl StageChain for PanicOnce {
+    type Code = f64;
+    type Report = <FloatChain as StageChain>::Report;
+
+    fn plan(&self) -> &InferencePlan {
+        self.inner.plan()
+    }
+    fn num_rows(&self) -> usize {
+        self.inner.num_rows()
+    }
+    fn num_cols(&self) -> usize {
+        self.inner.num_cols()
+    }
+    fn prepare(&self, xs: &[f64], b: usize, c0: usize, w: usize, dst: &mut [f64]) {
+        self.inner.prepare(xs, b, c0, w, dst);
+    }
+    fn run_stage(
+        &self,
+        idx: usize,
+        input: &[f64],
+        output: &mut [f64],
+        w: usize,
+        report: &mut Self::Report,
+    ) -> tie::tensor::Result<()> {
+        if idx == self.fail_at && self.armed.swap(false, Ordering::AcqRel) {
+            panic!("injected stage fault");
+        }
+        self.inner.run_stage(idx, input, output, w, report)
+    }
+    fn finish(&self, codes: &[f64], ys: &mut [f64], b: usize, c0: usize, w: usize) {
+        self.inner.finish(codes, ys, b, c0, w);
+    }
+    fn merge(into: &mut Self::Report, other: &Self::Report) {
+        FloatChain::merge(into, other);
+    }
+}
+
+/// A stage panic poisons the pipeline's channels and drops the slabs the
+/// unwinding branches held. The next call heals them and answers
+/// bit-identically to the sequential engine; after that one recovery,
+/// runs are allocation-free again on the driving thread.
+#[test]
+fn pipeline_heals_after_a_stage_panic_and_stays_allocation_free() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let mut rng = ChaCha8Rng::seed_from_u64(4247);
+    let shape = TtShape::uniform_rank(vec![4, 4, 4], vec![4, 4, 4], 3).unwrap();
+    let ttm = TtMatrix::<f64>::random(&mut rng, &shape, 0.8).unwrap();
+    let engine = CompactEngine::new(ttm).unwrap();
+    let (n, m) = (shape.num_cols(), shape.num_rows());
+    let b = 4usize;
+    let xs: Tensor<f64> = init::uniform(&mut rng, vec![n * b], 1.0);
+    let mut want = vec![0.0f64; m * b];
+    engine.matvec_batch_into(xs.data(), b, &mut want).unwrap();
+
+    for depth in [1, 2, 3] {
+        for fail_at in 0..shape.ndim() {
+            let chain = PanicOnce {
+                inner: FloatChain::new(&engine).unwrap(),
+                fail_at,
+                armed: AtomicBool::new(false),
+            };
+            let cfg = PipelineConfig {
+                depth,
+                micro_batch: 1,
+            };
+            let pipe = StagePipeline::new(chain, cfg).unwrap();
+            let mut ys = vec![0.0f64; m * b];
+            pipe.matvec_batch_into(xs.data(), b, &mut ys).unwrap(); // warm-up
+
+            pipe.chain().armed.store(true, Ordering::Release);
+            let fault = catch_unwind(AssertUnwindSafe(|| {
+                pipe.matvec_batch_into(xs.data(), b, &mut ys)
+            }));
+            assert!(fault.is_err(), "depth {depth}: stage {fail_at} must panic");
+
+            ys.fill(0.0);
+            pipe.matvec_batch_into(xs.data(), b, &mut ys).unwrap();
+            for (i, (g, w)) in ys.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "depth {depth}, fault at stage {fail_at}: element {i} after recovery"
+                );
+            }
+
+            let before = allocs_on_this_thread();
+            for _ in 0..8 {
+                pipe.matvec_batch_into(xs.data(), b, &mut ys).unwrap();
+            }
+            let after = allocs_on_this_thread();
+            assert_eq!(
+                after - before,
+                0,
+                "depth {depth}, fault at stage {fail_at}: runs after recovery must not allocate"
+            );
+        }
+    }
+}
