@@ -172,17 +172,14 @@ struct Batcher {
 impl Batcher {
     fn enqueue(&mut self, req: Request) {
         // Look up by `&str` first: only a layer's first request allocates
-        // its lane (and the lane's shared name).
-        let lane = match self.lanes.get_mut(req.layer.as_str()) {
+        // its lane, which shares the request's name.
+        let lane = match self.lanes.get_mut(&*req.layer) {
             Some(lane) => lane,
-            None => {
-                let layer: Arc<str> = req.layer.as_str().into();
-                self.lanes.entry(Arc::clone(&layer)).or_insert(Lane {
-                    layer,
-                    requests: Vec::new(),
-                    formed_at: Instant::now(),
-                })
-            }
+            None => self.lanes.entry(Arc::clone(&req.layer)).or_insert(Lane {
+                layer: Arc::clone(&req.layer),
+                requests: Vec::new(),
+                formed_at: Instant::now(),
+            }),
         };
         if !lane.is_pending() {
             lane.formed_at = Instant::now();

@@ -36,10 +36,10 @@ pub struct ServeConfig {
     /// `set_num_threads` override and the `TIE_THREADS` environment
     /// variable), capped at 8.
     ///
-    /// Serve workers are plain threads, distinct from the kernel pool in
-    /// `tie_tensor::pool`: each worker's `matvec_batch_into` dispatches
-    /// its stage GEMMs and transforms onto that shared pool, which is
-    /// nesting-safe under this fan-out (see DESIGN.md §11.3 and
+    /// The default is one serial executor per core: each worker runs its
+    /// engine calls at width 1 on its own thread and never dispatches to
+    /// the kernel pool in `tie_tensor::pool`, so the workers, not the
+    /// pool, fill the cores (see DESIGN.md §11.3 and
     /// `tests/pool_nested_serve.rs`).
     pub workers: usize,
 }

@@ -32,9 +32,11 @@ use tie_tt::TtMatrix;
 /// own registry value over the same shared engines.
 #[derive(Debug, Default, Clone)]
 pub struct EngineRegistry {
-    engines: HashMap<String, Arc<CompactEngine<f64>>>,
-    quantized: HashMap<String, Arc<QuantizedEngine>>,
-    pipelined: HashMap<String, Arc<PipelinedEngine>>,
+    // Keys are shared names: a request carries its layer's key by `Arc`,
+    // so submitting never copies the name.
+    engines: HashMap<Arc<str>, Arc<CompactEngine<f64>>>,
+    quantized: HashMap<Arc<str>, Arc<QuantizedEngine>>,
+    pipelined: HashMap<Arc<str>, Arc<PipelinedEngine>>,
 }
 
 impl EngineRegistry {
@@ -70,7 +72,7 @@ impl EngineRegistry {
         name: impl Into<String>,
         engine: Arc<CompactEngine<f64>>,
     ) -> &mut Self {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         self.quantized.remove(&name);
         self.pipelined.remove(&name);
         self.engines.insert(name, engine);
@@ -109,7 +111,7 @@ impl EngineRegistry {
         name: impl Into<String>,
         engine: Arc<QuantizedEngine>,
     ) -> &mut Self {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         self.engines.remove(&name);
         self.pipelined.remove(&name);
         self.quantized.insert(name, engine);
@@ -135,7 +137,7 @@ impl EngineRegistry {
         name: impl Into<String>,
         engine: Arc<PipelinedEngine>,
     ) -> &mut Self {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         self.engines.remove(&name);
         self.quantized.remove(&name);
         self.pipelined.insert(name, engine);
@@ -244,15 +246,21 @@ impl EngineRegistry {
     /// backend.
     #[must_use]
     pub fn dims(&self, name: &str) -> Option<(usize, usize)> {
-        if let Some(e) = self.engines.get(name) {
-            return Some((e.matrix().shape().num_rows(), e.matrix().shape().num_cols()));
+        self.lookup(name).map(|(_, dims)| dims)
+    }
+
+    /// The registry's shared copy of `name` and the layer's `(M, N)`.
+    pub(crate) fn lookup(&self, name: &str) -> Option<(&Arc<str>, (usize, usize))> {
+        if let Some((key, e)) = self.engines.get_key_value(name) {
+            let shape = e.matrix().shape();
+            return Some((key, (shape.num_rows(), shape.num_cols())));
         }
-        if let Some(e) = self.quantized.get(name) {
-            return Some((e.num_rows(), e.num_cols()));
+        if let Some((key, e)) = self.quantized.get_key_value(name) {
+            return Some((key, (e.num_rows(), e.num_cols())));
         }
         self.pipelined
-            .get(name)
-            .map(|e| (e.num_rows(), e.num_cols()))
+            .get_key_value(name)
+            .map(|(key, e)| (key, (e.num_rows(), e.num_cols())))
     }
 
     /// All registered layer names (every backend), sorted.
@@ -263,7 +271,7 @@ impl EngineRegistry {
             .keys()
             .chain(self.quantized.keys())
             .chain(self.pipelined.keys())
-            .cloned()
+            .map(|name| name.to_string())
             .collect();
         names.sort();
         names
@@ -290,7 +298,7 @@ impl EngineRegistry {
     pub fn clone_engines(&self) -> HashMap<String, CompactEngine<f64>> {
         self.engines
             .iter()
-            .map(|(name, e)| (name.clone(), (**e).clone()))
+            .map(|(name, e)| (name.to_string(), (**e).clone()))
             .collect()
     }
 
@@ -311,13 +319,13 @@ impl EngineRegistry {
         let mut parts: Vec<EngineRegistry> =
             (0..=max_shard).map(|_| EngineRegistry::new()).collect();
         for (name, engine) in &self.engines {
-            parts[ring.shard_for(name)].insert_shared(name.clone(), Arc::clone(engine));
+            parts[ring.shard_for(name)].insert_shared(&**name, Arc::clone(engine));
         }
         for (name, engine) in &self.quantized {
-            parts[ring.shard_for(name)].insert_quantized_shared(name.clone(), Arc::clone(engine));
+            parts[ring.shard_for(name)].insert_quantized_shared(&**name, Arc::clone(engine));
         }
         for (name, engine) in &self.pipelined {
-            parts[ring.shard_for(name)].insert_pipelined_shared(name.clone(), Arc::clone(engine));
+            parts[ring.shard_for(name)].insert_pipelined_shared(&**name, Arc::clone(engine));
         }
         parts
     }
@@ -331,16 +339,16 @@ impl EngineRegistry {
     pub(crate) fn worker_engines(&self) -> HashMap<String, WorkerEngine> {
         self.engines
             .iter()
-            .map(|(name, e)| (name.clone(), WorkerEngine::Float((**e).clone())))
+            .map(|(name, e)| (name.to_string(), WorkerEngine::Float((**e).clone())))
             .chain(
                 self.quantized
                     .iter()
-                    .map(|(name, e)| (name.clone(), WorkerEngine::Quantized((**e).clone()))),
+                    .map(|(name, e)| (name.to_string(), WorkerEngine::Quantized((**e).clone()))),
             )
             .chain(
                 self.pipelined
                     .iter()
-                    .map(|(name, e)| (name.clone(), WorkerEngine::Pipelined((**e).clone()))),
+                    .map(|(name, e)| (name.to_string(), WorkerEngine::Pipelined((**e).clone()))),
             )
             .collect()
     }

@@ -26,7 +26,8 @@ pub struct Response {
 /// `submitted == completed + failed` holds on every path.
 #[derive(Debug)]
 pub(crate) struct Request {
-    pub(crate) layer: String,
+    /// The registry's shared copy of the layer name.
+    pub(crate) layer: Arc<str>,
     pub(crate) input: Vec<f64>,
     pub(crate) submitted_at: Instant,
     responder: Option<SyncSender<Result<Response, ServeError>>>,
@@ -34,7 +35,7 @@ pub(crate) struct Request {
 }
 
 impl Request {
-    pub(crate) fn new(layer: String, input: Vec<f64>, stats: Arc<StatsCore>) -> (Self, Ticket) {
+    pub(crate) fn new(layer: Arc<str>, input: Vec<f64>, stats: Arc<StatsCore>) -> (Self, Ticket) {
         // Buffer of 1: the worker's send never blocks even if the caller
         // has not reached `wait` yet (or never does).
         let (tx, rx) = std::sync::mpsc::sync_channel(1);

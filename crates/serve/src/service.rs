@@ -15,14 +15,16 @@ use std::thread::JoinHandle;
 
 /// Submit-time request validation shared by [`Client`] and the sharded
 /// client: the layer must be registered, the input must have the layer's
-/// `N` elements, and every element must be finite.
+/// `N` elements, and every element must be finite. Returns the registry's
+/// shared copy of the layer name, so a request carries it without
+/// copying the string.
 pub(crate) fn validate_input(
     registry: &EngineRegistry,
     layer: &str,
     input: &[f64],
-) -> Result<(), ServeError> {
-    let (_m, n) = registry
-        .dims(layer)
+) -> Result<Arc<str>, ServeError> {
+    let (name, (_m, n)) = registry
+        .lookup(layer)
         .ok_or_else(|| ServeError::UnknownLayer(layer.to_string()))?;
     if input.len() != n {
         return Err(ServeError::WrongInputLength {
@@ -32,7 +34,7 @@ pub(crate) fn validate_input(
     }
     match input.iter().position(|v| !v.is_finite()) {
         Some(index) => Err(ServeError::NonFiniteInput { index }),
-        None => Ok(()),
+        None => Ok(Arc::clone(name)),
     }
 }
 
@@ -56,12 +58,8 @@ impl Client {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        validate_input(&self.registry, layer, &input)?;
-        Ok(Request::new(
-            layer.to_string(),
-            input,
-            Arc::clone(&self.stats),
-        ))
+        let layer = validate_input(&self.registry, layer, &input)?;
+        Ok(Request::new(layer, input, Arc::clone(&self.stats)))
     }
 
     /// Submits a request, blocking while the queue is full.
@@ -241,8 +239,9 @@ impl InferenceService {
     /// 4. join the workers (they finish queued batches, then see the
     ///    disconnect and exit).
     ///
-    /// Returns the final counter snapshot, for which
-    /// `submitted == completed + failed` holds.
+    /// A thread that ended in a panic is counted in
+    /// [`ServiceStats::thread_panics`]. Returns the final counter
+    /// snapshot, for which `submitted == completed + failed` holds.
     pub fn shutdown(mut self) -> ServiceStats {
         self.shutdown_in_place();
         self.stats.snapshot()
@@ -257,9 +256,14 @@ impl InferenceService {
         // draining it, so this terminates. If the batcher already exited
         // (queue disconnected) the send fails, which is equally fine.
         let _ = self.tx.send(Msg::Shutdown);
-        let _ = batcher.join();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // A thread that panicked outside any engine call has already
+        // failed the requests it held (their drop guards answer
+        // `ShuttingDown`); count the thread so the panic stays visible.
+        let handles = std::iter::once(batcher).chain(self.workers.drain(..));
+        for handle in handles {
+            if handle.join().is_err() {
+                self.stats.record_thread_panic();
+            }
         }
     }
 }
@@ -570,6 +574,52 @@ mod tests {
         assert_eq!(
             (stats.completed, stats.failed, stats.engine_panics),
             (1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn panic_outside_the_engine_call_is_counted_and_accounted() {
+        use crate::worker::ASSEMBLY_PANIC_TRIGGER;
+        // Two workers: a response-assembly panic ends one of them; the
+        // other keeps serving.
+        let reg = registry(14);
+        let engine = reg.get("fc").unwrap();
+        let svc = InferenceService::start(
+            reg,
+            ServeConfig {
+                max_batch: 1,
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let client = svc.client();
+        let mut poisoned = vec![0.5; 6];
+        poisoned[0] = ASSEMBLY_PANIC_TRIGGER;
+        assert_eq!(
+            client.submit("fc", poisoned).unwrap().wait(),
+            Err(ServeError::ShuttingDown),
+            "the dead worker's request is answered by its drop guard"
+        );
+        let x = vec![0.25; 6];
+        let resp = client
+            .submit("fc", x.clone())
+            .unwrap()
+            .wait_timeout(Duration::from_secs(5))
+            .expect("the other worker still serves");
+        let mut direct = vec![0.0; 6];
+        engine.matvec_into(&x, &mut direct).unwrap();
+        assert_eq!(resp.output, direct);
+        let stats = svc.shutdown();
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
+        assert_eq!(
+            (
+                stats.completed,
+                stats.failed,
+                stats.engine_panics,
+                stats.thread_panics
+            ),
+            (1, 1, 0, 1)
         );
     }
 

@@ -27,6 +27,7 @@ pub(crate) struct StatsCore {
     completed: AtomicU64,
     failed: AtomicU64,
     engine_panics: AtomicU64,
+    thread_panics: AtomicU64,
     batches: AtomicU64,
     full_batches: AtomicU64,
     deadline_batches: AtomicU64,
@@ -57,6 +58,7 @@ impl StatsCore {
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             engine_panics: AtomicU64::new(0),
+            thread_panics: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             full_batches: AtomicU64::new(0),
             deadline_batches: AtomicU64::new(0),
@@ -117,6 +119,12 @@ impl StatsCore {
         self.engine_panics.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one service thread (the batcher or a worker) that ended in
+    /// a panic outside any engine call.
+    pub(crate) fn record_thread_panic(&self) {
+        self.thread_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Folds one quantized batch's saturation report into the counters.
     pub(crate) fn record_quant(&self, outputs: u64, acc_saturations: u64, out_saturations: u64) {
         self.quant_outputs.fetch_add(outputs, Ordering::Relaxed);
@@ -168,6 +176,7 @@ impl StatsCore {
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             engine_panics: self.engine_panics.load(Ordering::Relaxed),
+            thread_panics: self.thread_panics.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             full_batches: self.full_batches.load(Ordering::Relaxed),
             deadline_batches: self.deadline_batches.load(Ordering::Relaxed),
@@ -350,6 +359,11 @@ pub struct ServiceStats {
     /// batch's requests are answered with [`crate::ServeError::Engine`]
     /// and counted in `failed`.
     pub engine_panics: u64,
+    /// Service threads (the batcher or a worker) that ended in a panic
+    /// outside any engine call, counted when shutdown joins them. The
+    /// requests such a thread held are answered
+    /// [`crate::ServeError::ShuttingDown`] and counted in `failed`.
+    pub thread_panics: u64,
     /// Batches dispatched to the worker pool.
     pub batches: u64,
     /// Batches dispatched because `max_batch` was reached.
@@ -423,6 +437,7 @@ impl ServiceStats {
         self.completed += other.completed;
         self.failed += other.failed;
         self.engine_panics += other.engine_panics;
+        self.thread_panics += other.thread_panics;
         self.batches += other.batches;
         self.full_batches += other.full_batches;
         self.deadline_batches += other.deadline_batches;
@@ -603,6 +618,7 @@ mod tests {
         core2.record_response(Duration::from_micros(40));
         core2.record_failure();
         core2.record_engine_panic();
+        core2.record_thread_panic();
         core2.record_batch(1, DispatchCause::Idle);
         core2.record_batch(1, DispatchCause::Full);
         core2.record_batch(1, DispatchCause::Deadline);
@@ -616,6 +632,7 @@ mod tests {
         assert_eq!(total.failed, 1);
         assert_eq!(total.submitted, total.completed + total.failed);
         assert_eq!(total.engine_panics, 1);
+        assert_eq!(total.thread_panics, 1);
         assert_eq!(total.batches, 4);
         assert_eq!(
             total.batches,

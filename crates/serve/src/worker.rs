@@ -16,9 +16,17 @@
 //! batcher drains and exits, workers finish the queued batches, pool
 //! joins.
 //!
+//! Each worker is a serial executor
+//! ([`tie_tensor::parallel::as_serial_executor`]): the service already
+//! runs one worker per core, so a worker's kernels run at width 1 and
+//! never dispatch to the shared kernel pool, whose wake-up would cost a
+//! batch-1 call more than the second core saves (DESIGN.md §11.3).
+//!
 //! A panic inside an engine call is contained to its batch: the batch is
 //! answered with [`ServeError::Engine`], counted in `engine_panics`, and
-//! the worker carries on (so it keeps reporting itself idle).
+//! the worker carries on (so it keeps reporting itself idle). A panic
+//! anywhere else ends the worker thread; its unanswered requests fail as
+//! `ShuttingDown` and shutdown counts the thread in `thread_panics`.
 
 use crate::batcher::{Batch, IdleWorkers, Msg};
 use crate::error::ServeError;
@@ -66,6 +74,11 @@ pub(crate) enum WorkerEngine {
 /// The input value that makes a [`WorkerEngine::Faulty`] engine panic.
 #[cfg(test)]
 pub(crate) const PANIC_TRIGGER: f64 = 1234.5;
+
+/// The input value that makes response assembly panic, after the engine
+/// call and outside its containment.
+#[cfg(test)]
+pub(crate) const ASSEMBLY_PANIC_TRIGGER: f64 = 4321.5;
 
 impl WorkerEngine {
     /// `(rows M, cols N)` of the layer.
@@ -152,22 +165,24 @@ pub(crate) fn run_worker(
     idle: Arc<IdleWorkers>,
     wake: SyncSender<Msg>,
 ) {
-    let mut xs: Vec<f64> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    loop {
-        idle.worker_ready(&wake);
-        let batch = {
-            let guard = match batch_rx.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
+    tie_tensor::parallel::as_serial_executor(|| {
+        let mut xs: Vec<f64> = Vec::new();
+        let mut ys: Vec<f64> = Vec::new();
+        loop {
+            idle.worker_ready(&wake);
+            let batch = {
+                let guard = match batch_rx.lock() {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                match guard.recv() {
+                    Ok(b) => b,
+                    Err(_) => return, // batcher gone, queue drained
+                }
             };
-            match guard.recv() {
-                Ok(b) => b,
-                Err(_) => return, // batcher gone, queue drained
-            }
-        };
-        execute(&engines, &stats, batch, &mut xs, &mut ys);
-    }
+            execute(&engines, &stats, batch, &mut xs, &mut ys);
+        }
+    });
 }
 
 /// Runs one batch through `matvec_batch_into` and answers every request.
@@ -228,6 +243,11 @@ fn execute(
             let (moved, elided) = engine.traffic_per_sample();
             stats.record_traffic(moved * b as u64, elided * b as u64);
             for (c, req) in batch.requests.into_iter().enumerate() {
+                #[cfg(test)]
+                assert!(
+                    req.input.first() != Some(&ASSEMBLY_PANIC_TRIGGER),
+                    "injected response-assembly fault"
+                );
                 let output: Vec<f64> = (0..m).map(|r| ys[r * b + c]).collect();
                 let latency = req.submitted_at.elapsed();
                 req.respond(Ok(Response {

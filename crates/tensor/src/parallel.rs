@@ -34,7 +34,22 @@
 //! [`threads_for`] — the separate element-count copy threshold died with
 //! the read-side Transform permutation pass, whose hot-loop copies are now
 //! fused into the GEMM write epilogue.
+//!
+//! # Serial executors
+//!
+//! A thread that is itself one of several concurrent executors runs its
+//! kernels at width 1: inside [`as_serial_executor`], [`threads_for`]
+//! returns 1 whatever the configured count, and [`crate::pool::dispatch`]
+//! runs every slab inline. Pool workers live in this scope (the pool's
+//! nesting policy), and so does every `tie-serve` worker thread: the
+//! service already runs one worker per core, so a served call that also
+//! fanned out onto the pool would pay a dispatch and a wake-up only to
+//! compete with the other workers. Width 1 is the same code path as
+//! `TIE_THREADS=1`, so results are bit-identical. Set-up work (TT-SVD
+//! compilation, calibration, engine construction) runs outside the
+//! scope on the caller's thread and keeps the full pool.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -49,6 +64,11 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// `TIE_THREADS` parsed once; `0` means unset or unparsable.
 static ENV_THREADS: OnceLock<usize> = OnceLock::new();
+
+thread_local! {
+    /// True inside [`as_serial_executor`] on this thread.
+    static SERIAL_EXECUTOR: Cell<bool> = const { Cell::new(false) };
+}
 
 fn env_threads() -> usize {
     *ENV_THREADS.get_or_init(|| {
@@ -92,12 +112,35 @@ pub fn set_num_threads(n: usize) -> usize {
     OVERRIDE.swap(n, Ordering::Relaxed)
 }
 
+/// Runs `f` with the calling thread marked as one of several concurrent
+/// executors, so every kernel it reaches runs at width 1 and never
+/// dispatches to the pool (see the module docs). The previous state comes
+/// back when `f` returns or unwinds, so scopes nest.
+pub fn as_serial_executor<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SERIAL_EXECUTOR.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SERIAL_EXECUTOR.with(|c| c.replace(true)));
+    f()
+}
+
+/// True inside [`as_serial_executor`] on the calling thread (on pool
+/// workers, always).
+#[must_use]
+pub fn is_serial_executor() -> bool {
+    SERIAL_EXECUTOR.with(Cell::get)
+}
+
 /// Worker count for a kernel with `work` scalar multiply-adds spread over
-/// `rows` independent output rows: 1 below the spawn threshold, otherwise
-/// the configured count capped by the row count.
+/// `rows` independent output rows: 1 below the spawn threshold or on a
+/// serial executor, otherwise the configured count capped by the row
+/// count.
 #[must_use]
 pub fn threads_for(work: usize, rows: usize) -> usize {
-    if work < PARALLEL_MIN_WORK {
+    if work < PARALLEL_MIN_WORK || is_serial_executor() {
         return 1;
     }
     num_threads().min(rows.max(1))
@@ -191,9 +234,18 @@ pub fn for_each_row_slab_scoped<T, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that set the process-wide override, so one
+    /// test's assertions never read another's count.
+    fn override_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn num_threads_is_positive_and_overridable() {
+        let _serial = override_lock();
         assert!(num_threads() >= 1);
         let prev = set_num_threads(3);
         assert_eq!(num_threads(), 3);
@@ -203,11 +255,35 @@ mod tests {
 
     #[test]
     fn small_work_never_splits() {
+        let _serial = override_lock();
         let prev = set_num_threads(8);
         assert_eq!(threads_for(PARALLEL_MIN_WORK - 1, 1024), 1);
         assert_eq!(threads_for(PARALLEL_MIN_WORK, 1024), 8);
         // Never more threads than rows.
         assert_eq!(threads_for(PARALLEL_MIN_WORK, 2), 2);
+        set_num_threads(prev);
+    }
+
+    #[test]
+    fn serial_executor_runs_at_width_one_and_restores() {
+        let _serial = override_lock();
+        let prev = set_num_threads(8);
+        assert!(!is_serial_executor());
+        let inside = as_serial_executor(|| {
+            // Nesting keeps the rule and does not clear it on exit.
+            as_serial_executor(|| ());
+            threads_for(PARALLEL_MIN_WORK, 1024)
+        });
+        assert_eq!(inside, 1);
+        assert!(!is_serial_executor());
+        assert_eq!(threads_for(PARALLEL_MIN_WORK, 1024), 8);
+
+        let unwound = std::panic::catch_unwind(|| {
+            as_serial_executor(|| panic!("executor body panics"));
+        });
+        assert!(unwound.is_err());
+        assert!(!is_serial_executor(), "unwinding restores the state");
+        assert_eq!(threads_for(PARALLEL_MIN_WORK, 1024), 8);
         set_num_threads(prev);
     }
 
@@ -287,6 +363,7 @@ mod tests {
         // Warm the pool wide, then force a narrow override: the dispatch
         // width (observable as the set of distinct slab start rows) must
         // follow the override immediately, not the pool size.
+        let _serial = override_lock();
         let prev = set_num_threads(0);
         crate::pool::prewarm(8);
         let rows = 64;

@@ -22,8 +22,12 @@
 //! Warm `run` calls are allocation-free: the job is published as a
 //! lifetime-erased borrow in a mutex-guarded slot (no boxing), exactly
 //! like the pool's stack-resident job frames. The compute inside a branch
-//! may still dispatch onto the shared [`crate::pool`] — the host threads
-//! are not pool workers, so a nested GEMM parallelizes normally.
+//! run by a host thread may still dispatch onto the shared
+//! [`crate::pool`] — the host threads are not serial executors, so a
+//! nested GEMM parallelizes normally. The branch `run` keeps on the
+//! calling thread follows that thread's rule: on a serial executor (a
+//! `tie-serve` worker) it runs at width 1
+//! ([`crate::parallel::as_serial_executor`]).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

@@ -25,15 +25,20 @@
 //!
 //! # Nesting policy
 //!
-//! A pool worker that reaches another dispatch (a pooled GEMM calling a
-//! pooled transform, or a `tie-serve` worker-thread chain) runs the inner
-//! job's slabs **inline, in ascending slab order** on its own thread.
-//! Inline execution is bit-identical to distributed execution (slabs are
-//! independent), and a worker never blocks on a nested join — so nested
-//! parallelism cannot deadlock the pool. Non-worker threads (e.g.
-//! `tie-serve`'s batch executors) dispatch concurrently; the pool holds a
-//! list of in-flight jobs and idle workers adopt the oldest one with
-//! unclaimed slabs.
+//! A thread that is itself one of several concurrent executors runs its
+//! kernels serially ([`crate::parallel::as_serial_executor`]). Pool
+//! workers are such threads: one that reaches another dispatch (a pooled
+//! GEMM calling a pooled transform) runs the inner job's slabs **inline,
+//! in ascending slab order** on its own thread. Inline execution is
+//! bit-identical to distributed execution (slabs are independent), and a
+//! worker never blocks on a nested join — so nested parallelism cannot
+//! deadlock the pool. `tie-serve` worker threads follow the same rule:
+//! the service runs one worker per core, so each served engine call runs
+//! at width 1 and never dispatches here. The remaining dispatchers
+//! (set-up work on the caller's thread, pipeline stage threads, direct
+//! library callers) may dispatch concurrently; the pool holds a list of
+//! in-flight jobs and idle workers adopt the oldest one with unclaimed
+//! slabs.
 //!
 //! # Sizing
 //!
@@ -55,7 +60,7 @@
 //! zero-alloc hot path (`tests/zero_alloc.rs`) now that its transforms
 //! dispatch here.
 
-use std::cell::Cell;
+use crate::parallel::{as_serial_executor, is_serial_executor};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -69,18 +74,6 @@ pub const MAX_WORKERS: usize = 256;
 /// GEMMs per inference) land in this window and skip the park/unpark
 /// round-trip entirely.
 const SPIN_ROUNDS: usize = 4096;
-
-thread_local! {
-    /// True on pool worker threads; gates the inline nesting policy.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when called from a pool worker thread (where nested dispatches run
-/// inline — see the module docs' nesting policy).
-#[must_use]
-pub fn is_worker_thread() -> bool {
-    IN_WORKER.with(Cell::get)
-}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -246,6 +239,14 @@ pub fn spawned_workers() -> usize {
     lock(&shared().state).spawned
 }
 
+/// Number of jobs published to the pool so far in this process
+/// (diagnostic; used by tests). Inline runs — one slab, or a dispatch on a
+/// serial executor — publish nothing and do not count.
+#[must_use]
+pub fn dispatches() -> u64 {
+    shared().epoch.load(Ordering::Acquire)
+}
+
 /// Ensures at least `min(n, MAX_WORKERS)` workers exist, spawning any
 /// missing ones now. Dispatch does this automatically; benches call it to
 /// measure warm-pool latency without a first-dispatch spawn in the timing.
@@ -261,14 +262,13 @@ fn ensure_workers(pool: &'static PoolShared, st: &mut PoolState, want: usize) {
         let id = st.spawned;
         std::thread::Builder::new()
             .name(format!("tie-pool-{id}"))
-            .spawn(move || worker_loop(pool))
+            .spawn(move || as_serial_executor(|| worker_loop(pool)))
             .expect("spawn tie-pool worker");
         st.spawned += 1;
     }
 }
 
 fn worker_loop(pool: &'static PoolShared) {
-    IN_WORKER.with(|c| c.set(true));
     loop {
         // Adopt the oldest job with unclaimed slabs, if any.
         let adopted: Option<JobRef> = {
@@ -332,15 +332,16 @@ fn worker_loop(pool: &'static PoolShared) {
 /// units (the pool may run them concurrently, in any assignment, on any
 /// thread — including the calling one).
 ///
-/// On a pool worker thread (nested dispatch) the slabs run inline in
-/// ascending order — bit-identical for independent slabs and immune to
-/// pool exhaustion deadlocks. Panics from any slab are resurfaced on the
-/// calling thread after the job has quiesced.
+/// On a serial executor — a pool worker (nested dispatch) or a
+/// `tie-serve` worker — the slabs run inline in ascending order:
+/// bit-identical for independent slabs and immune to pool exhaustion
+/// deadlocks. Panics from any slab are resurfaced on the calling thread
+/// after the job has quiesced.
 pub fn dispatch<F: Fn(usize) + Sync>(slabs: usize, f: F) {
     if slabs == 0 {
         return;
     }
-    if slabs == 1 || is_worker_thread() {
+    if slabs == 1 || is_serial_executor() {
         for i in 0..slabs {
             f(i);
         }
@@ -485,6 +486,19 @@ mod tests {
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 12);
+    }
+
+    #[test]
+    fn serial_executor_runs_slabs_inline_in_order() {
+        let me = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        crate::parallel::as_serial_executor(|| {
+            dispatch(5, |i| {
+                assert_eq!(std::thread::current().id(), me, "slab {i} left the thread");
+                lock(&order).push(i);
+            });
+        });
+        assert_eq!(*lock(&order), [0, 1, 2, 3, 4]);
     }
 
     #[test]

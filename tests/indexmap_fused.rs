@@ -326,6 +326,11 @@ fn mapped_stage_gemm_within_ratio_of_gemm_into_on_table4() {
 /// (b) the fused float engine takes no longer than the gather oracle
 ///     (`matvec_batch_into_gather`: plain GEMM plus a separate
 ///     permutation pass) at batch 1 and 16.
+///
+/// It also prints, without a bound, the float batch-1 call at width 1
+/// (`set_num_threads(1)`, restored afterwards) next to the default-width
+/// reading: the pool dispatch a direct library caller still pays at
+/// batch 1, which served calls no longer do (DESIGN.md §11.3).
 #[test]
 #[ignore = "wall-clock ratio gate; run in release via scripts/ci.sh"]
 fn batch1_quantized_and_fused_float_within_ratio_on_table4() {
@@ -366,13 +371,18 @@ fn batch1_quantized_and_fused_float_within_ratio_on_table4() {
             tq.push(time(&mut run_quant));
             tf.push(time(&mut run_float));
         }
-        let (q_s, f_s) = (median(tq), median(tf));
+        let prev = parallel::set_num_threads(1);
+        run_float();
+        let tf1: Vec<f64> = (0..CALLS).map(|_| time(&mut run_float)).collect();
+        parallel::set_num_threads(prev);
+        let (q_s, f_s, f1_s) = (median(tq), median(tf), median(tf1));
         let ratio = q_s / f_s;
         eprintln!(
-            "{}: b1 quantized {:.3} ms, float {:.3} ms, ratio {ratio:.2}",
+            "{}: b1 quantized {:.3} ms, float {:.3} ms, ratio {ratio:.2}; float at width 1 {:.3} ms",
             bench.name,
             q_s * 1e3,
-            f_s * 1e3
+            f_s * 1e3,
+            f1_s * 1e3
         );
         if ratio > MAX_QUANT_RATIO {
             failures.push(format!("{} quantized/float b1 {ratio:.2}", bench.name));
