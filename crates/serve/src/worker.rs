@@ -4,7 +4,9 @@
 //! scratch workspace, no shared mutable state — see
 //! [`crate::EngineRegistry::clone_engines`]) plus two reusable interleave
 //! buffers, so steady-state batch execution allocates only the per-request
-//! output vectors it hands back to callers.
+//! output vectors it hands back to callers. A batch of one skips both
+//! buffers: its input is already in the engine's layout, and the engine
+//! writes straight into the vector that becomes the response.
 //!
 //! The batch queue receiver sits behind a `Mutex` so the pool shares one
 //! channel: whichever worker is idle grabs the lock, takes the next batch,
@@ -190,7 +192,9 @@ pub(crate) fn run_worker(
 /// The inputs are interleaved batch-inner-most (`xs[j * b + c]` is element
 /// `j` of request `c`) to match the engine's batched layout, which keeps
 /// the batched pass **bitwise identical** to `b` independent single-input
-/// calls (the property suite proves this for both backends).
+/// calls (the property suite proves this for both backends). At `b = 1`
+/// that layout is the request's own input, so it goes to the engine as
+/// is, and the engine's output vector is handed to the response.
 fn execute(
     engines: &HashMap<String, WorkerEngine>,
     stats: &StatsCore,
@@ -209,19 +213,27 @@ fn execute(
     let (m, n) = engine.dims();
     let b = batch.requests.len();
 
-    xs.clear();
-    xs.resize(n * b, 0.0);
-    for (c, req) in batch.requests.iter().enumerate() {
-        for (j, &v) in req.input.iter().enumerate() {
-            xs[j * b + c] = v;
+    let mut single = Vec::new();
+    let (input, output): (&[f64], &mut [f64]) = if b == 1 {
+        single.resize(m, 0.0);
+        (&batch.requests[0].input, &mut single)
+    } else {
+        xs.clear();
+        xs.resize(n * b, 0.0);
+        for (c, req) in batch.requests.iter().enumerate() {
+            for (j, &v) in req.input.iter().enumerate() {
+                xs[j * b + c] = v;
+            }
         }
-    }
-    ys.clear();
-    ys.resize(m * b, 0.0);
+        ys.clear();
+        ys.resize(m * b, 0.0);
+        (xs, ys)
+    };
 
     // The buffers are plain scratch, fully rewritten before every call, so
     // a panic mid-call leaves nothing the next batch could observe.
-    let result = match catch_unwind(AssertUnwindSafe(|| engine.matvec_batch_into(xs, b, ys))) {
+    let call = || engine.matvec_batch_into(input, b, output);
+    let result = match catch_unwind(AssertUnwindSafe(call)) {
         Ok(result) => result.map_err(|e| ServeError::Engine(e.to_string())),
         Err(payload) => {
             stats.record_engine_panic();
@@ -248,7 +260,11 @@ fn execute(
                     req.input.first() != Some(&ASSEMBLY_PANIC_TRIGGER),
                     "injected response-assembly fault"
                 );
-                let output: Vec<f64> = (0..m).map(|r| ys[r * b + c]).collect();
+                let output: Vec<f64> = if b == 1 {
+                    std::mem::take(&mut single)
+                } else {
+                    (0..m).map(|r| ys[r * b + c]).collect()
+                };
                 let latency = req.submitted_at.elapsed();
                 req.respond(Ok(Response {
                     output,
@@ -339,6 +355,53 @@ mod tests {
             5 * engine.transform_elided_bytes_per_sample()
         );
         assert!(s.transform_elided_fraction() > 0.0);
+    }
+
+    #[test]
+    fn batch_of_one_is_bit_identical_and_contains_an_engine_panic() {
+        let reg = registry(11);
+        let stats = Arc::new(StatsCore::new());
+        let engine = reg.get("fc").unwrap();
+        let (m, n) = (
+            engine.matrix().shape().num_rows(),
+            engine.matrix().shape().num_cols(),
+        );
+        let mut engines = reg.worker_engines();
+        let fc = engines.remove("fc").unwrap();
+        engines.insert("fc".into(), WorkerEngine::Faulty(Box::new(fc)));
+        let one = |input: Vec<f64>| {
+            let (req, ticket) = Request::new("fc".into(), input, Arc::clone(&stats));
+            let batch = Batch {
+                layer: "fc".into(),
+                requests: vec![req],
+            };
+            // Scratch left over from a wider batch must not leak into a
+            // batch of one, which uses neither buffer.
+            let (mut xs, mut ys) = (vec![f64::NAN; 4 * n], vec![f64::NAN; 4 * m]);
+            execute(&engines, &stats, batch, &mut xs, &mut ys);
+            ticket.wait()
+        };
+
+        let mut poisoned = vec![0.5; n];
+        poisoned[0] = PANIC_TRIGGER;
+        assert!(matches!(
+            one(poisoned),
+            Err(ServeError::Engine(msg)) if msg.starts_with("engine panicked")
+        ));
+
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        for _ in 0..3 {
+            let input: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let resp = one(input.clone()).unwrap();
+            assert_eq!(resp.batch_size, 1);
+            let mut direct = vec![0.0; m];
+            engine.matvec_into(&input, &mut direct).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&resp.output), bits(&direct));
+        }
+        let s = stats.snapshot();
+        assert_eq!((s.completed, s.failed, s.engine_panics), (3, 1, 1));
+        assert_eq!(s.bytes_moved, 3 * engine.bytes_moved_per_sample());
     }
 
     #[test]

@@ -201,10 +201,30 @@ pub fn gemm_into_scoped<T: Scalar>(
 /// column `q`, the batch-innermost layout the compact engine uses) lands at
 /// `(row[i] + col[q])·bsz + cb`. One single-sample map therefore serves
 /// every batch size with no per-batch table rebuild.
+///
+/// # Store shape
+///
+/// Construction also records, once, two facts the streaming stage uses to
+/// store whole vectors instead of one element per lane at batch 1
+/// (DESIGN.md §16.6):
+///
+/// * a **tile row order** ([`DestMap::row_order`]): the logical rows
+///   sorted by destination row offset. The kernel walks rows in this
+///   order, so `R` consecutive rows of a register tile can be rows whose
+///   destinations are adjacent;
+/// * a **column-run descriptor** ([`DestMap::col_runs`]): one stride and
+///   one run length, `col[q] = col[q - 1] + stride` inside every run of
+///   `run` columns.
+///
+/// Where a tile's `R` rows are adjacent and the stride is `R`, the tile's
+/// lanes inside one run fill one contiguous block. Every inner Table 4
+/// stage map has this shape (rows `(i % 4)·S + i / 4`, stride 4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DestMap {
     row: Vec<usize>,
     col: Vec<usize>,
+    order: Vec<usize>,
+    runs: (usize, usize),
 }
 
 impl DestMap {
@@ -237,16 +257,42 @@ impl DestMap {
                 seen[off] = true;
             }
         }
-        Ok(DestMap { row, col })
+        Ok(Self::with_store_shape(row, col))
     }
 
     /// The identity map: `(i, q) ↦ i·cols + q`, i.e. plain row-major
     /// storage. A mapped kernel with this map is bitwise the unmapped one.
     #[must_use]
     pub fn identity(rows: usize, cols: usize) -> Self {
+        Self::with_store_shape((0..rows).map(|i| i * cols).collect(), (0..cols).collect())
+    }
+
+    /// Completes validated tables with the tile row order and the column
+    /// run descriptor.
+    fn with_store_shape(row: Vec<usize>, col: Vec<usize>) -> Self {
+        let mut order: Vec<usize> = (0..row.len()).collect();
+        order.sort_unstable_by_key(|&i| (row[i], i));
+        // The stride of the first step, and the first run's length; then
+        // every later column must continue its run or start one at a
+        // multiple of that length. A table that does not is recorded as
+        // runs of one column with stride 0, which no tile matches.
+        let stride = match col[..] {
+            [c0, c1, ..] if c1 > c0 => c1 - c0,
+            _ => 0,
+        };
+        let steps = |q: usize| col[q] == col[q - 1].wrapping_add(stride);
+        let run = if stride == 0 {
+            1
+        } else {
+            (1..col.len()).find(|&q| !steps(q)).unwrap_or(col.len())
+        };
+        let periodic = (1..col.len()).all(|q| (q % run == 0) || steps(q));
+        let runs = if periodic { (stride, run) } else { (0, 1) };
         DestMap {
-            row: (0..rows).map(|i| i * cols).collect(),
-            col: (0..cols).collect(),
+            row,
+            col,
+            order,
+            runs,
         }
     }
 
@@ -278,6 +324,20 @@ impl DestMap {
     #[must_use]
     pub fn col_offsets(&self) -> &[usize] {
         &self.col
+    }
+
+    /// The logical rows sorted by destination row offset: the order the
+    /// streaming stage walks rows in (a permutation of `0..rows()`).
+    #[must_use]
+    pub fn row_order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// The column-run descriptor `(stride, run)`: for every column `q`
+    /// with `q % run != 0`, `col[q] = col[q - 1] + stride`. `run ≥ 1`.
+    #[must_use]
+    pub fn col_runs(&self) -> (usize, usize) {
+        self.runs
     }
 }
 

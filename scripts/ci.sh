@@ -94,6 +94,19 @@ echo "== tier-2: mapped vs plain stage GEMM ratio gate, default thread count =="
 cargo test -q --release --test indexmap_fused \
   "${CARGO_FLAGS[@]}" mapped_stage_gemm_within_ratio_of_gemm_into_on_table4 -- --ignored
 
+# Batch-1 mapped-store gate (DESIGN.md §16.6): every inner Table 4 stage
+# at batch 1, through `gemm_into_mapped` with the engine's own map, takes
+# at most 1.5x the same shape through `stream_gemm` with a row-major
+# destination. Medians of alternated calls within one process, so host
+# speed cancels; it trips when the mapped batch-1 store falls back to one
+# element per lane. Needs --release; both thread settings.
+echo "== tier-2: batch-1 mapped vs row-major stage ratio gate, TIE_THREADS=1 =="
+TIE_THREADS=1 cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" batch1_mapped_stage_within_ratio_of_row_major_on_table4 -- --ignored
+echo "== tier-2: batch-1 mapped vs row-major stage ratio gate, default thread count =="
+cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" batch1_mapped_stage_within_ratio_of_row_major_on_table4 -- --ignored
+
 # Batch-1 ratio gate (DESIGN.md §16.6): on every Table 4 layer, a batch-1
 # quantized engine call takes at most 1.6x a float engine call, and the
 # fused float engine is no slower than the gather oracle at batch 1 and
