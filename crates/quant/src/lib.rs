@@ -31,9 +31,10 @@
 
 // Since the Tile/Stage/Global refactor the vectorized `qmatmul` is an
 // instantiation of `tie_tensor::tile`'s streaming stage (which owns the
-// sanctioned `#[target_feature]` / scatter-store unsafety); this crate
-// itself contains **zero** `unsafe` code, so `forbid` would also hold —
-// `deny` is kept for symmetry with the rest of the workspace.
+// sanctioned `#[target_feature]` / scatter-store unsafety). The one
+// `unsafe` here is the AVX-512BW tile kernel of `QuantPath`
+// (`matmul.rs`): intrinsics behind a runtime feature check, allowed at
+// that item only.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -43,7 +43,7 @@ use crate::{Accumulator, QFormat, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::tile::{
     stream_gemm, Activation, Datapath, Dest, Epilogue, IntAuto, Mapped, Requant, RequantRelu,
-    RowMajor, SatSink,
+    RowMajor, SatSink, Tile,
 };
 use tie_tensor::{Result, TensorError};
 
@@ -118,27 +118,48 @@ pub fn alignment(a: QFormat, b: QFormat, out: QFormat) -> (u32, u32) {
 /// * `prod + half` with `half = 2^(prod_shift−1) ≤ 2^29` stays below
 ///   `2^31` (and `prod_shift > 0` implies `half ≤ 2^(30−8−1)` for any
 ///   alignment produced by [`alignment`], far smaller);
-/// * the running value is always post-clamp, `|value| ≤ 2^23`, so
-///   `value + shifted` is bounded by `2^23 + 2^30 < 2^31 − 1`;
-/// * requantization adds `half ≤ 2^(out_shift−1)` to a value `≤ 2^23`.
+/// * the running value is always post-clamp, so its biased form (see
+///   below) lies in `[0, 2^24)` and `value + shifted` is bounded by
+///   `2^24 + 2^30 < 2^31 − 1`;
+/// * requantization adds `half ≤ 2^(out_shift−1)` and removes the bias.
 ///
-/// So every `i32` add here equals the reference's `i64` add, and the
-/// subsequent clamp lands identically.
+/// So every `i32` add of the exact step equals the reference's `i64` add,
+/// and the subsequent clamp lands identically.
 ///
 /// `x >> 0` is the identity and both halves are 0 then, so the shifts
-/// need no branch in the lane loop. The sticky accumulator-saturation
-/// flag is an `i32` that ORs in `clamped ^ sum`, nonzero exactly when the
-/// clamp fired: one bitwise op per lane where a `bool` cost a compare
-/// into a mask register and a mask OR. Epilogues see the post-clip `i32`
-/// code (both saturation counters already taken); [`RequantRelu`]'s
-/// `max(0)` there equals `max(0)` on the narrowed `i16`.
+/// need no branch in the lane loop.
+///
+/// # Biased lanes, and the clamp left out
+///
+/// A lane holds the running value plus `2^23`, so the 24-bit range
+/// `[-2^23, 2^23)` becomes `[0, 2^24)`: a biased sum is out of range
+/// exactly when one of its bits 24–31 is set. The sticky flag ORs in
+/// every biased sum *before* the clamp, so it has a bit above 23 set
+/// exactly when the clamp fired at least once.
+///
+/// [`Datapath::mac`] leaves the clamp out. Until a lane first leaves the
+/// range, its unclamped and clamped histories are the same values, and
+/// that first excursion cannot overflow `i32` (it adds at most `2^30` to
+/// a value below `2^24`), so it sets a high bit of the flag. A tile
+/// whose flags all stay below `2^24` is therefore exact as accumulated;
+/// any other tile is accumulated again by [`Datapath::mac_exact`], which
+/// clamps after every add. Saturation is rare in a calibrated engine, so
+/// the common step is a multiply, a rounding shift, an add and an OR.
+///
+/// Epilogues see the post-clip `i32` code (both saturation counters
+/// already taken); [`RequantRelu`]'s `max(0)` there equals `max(0)` on
+/// the narrowed `i16`.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantPath {
     prod_shift: u32,
     out_shift: u32,
     prod_half: i32,
-    out_half: i32,
+    /// The requantization rounding half, less the lane bias.
+    out_round: i32,
 }
+
+/// Lane bias: maps the accumulator range onto `[0, 2^24)`.
+const BIAS: i32 = -Accumulator::MIN;
 
 impl QuantPath {
     /// Datapath for the given [`alignment`] shifts.
@@ -152,11 +173,11 @@ impl QuantPath {
             } else {
                 0
             },
-            out_half: if out_shift > 0 {
+            out_round: if out_shift > 0 {
                 1i32 << (out_shift - 1)
             } else {
                 0
-            },
+            } - BIAS,
         }
     }
 }
@@ -168,11 +189,14 @@ impl Datapath for QuantPath {
     type Sat = i32;
     type EpiV = i32;
     type Stats = (u64, u64);
+    type Tally = (u32, u32);
     type Sink = SatSink;
+
+    const ROW_AT_A_TIME: bool = true;
 
     #[inline(always)]
     fn lane_zero(self) -> i32 {
-        0
+        BIAS
     }
     #[inline(always)]
     fn sat_zero(self) -> i32 {
@@ -180,11 +204,51 @@ impl Datapath for QuantPath {
     }
     #[inline(always)]
     fn mac(self, lane: &mut i32, sat: &mut i32, a: i16, b: i16) {
-        let shifted = (a as i32 * b as i32 + self.prod_half) >> self.prod_shift;
-        let sum = *lane + shifted;
-        let clamped = sum.clamp(Accumulator::MIN, Accumulator::MAX);
-        *sat |= clamped ^ sum;
-        *lane = clamped;
+        // Wrapping: after an excursion the tile is accumulated again, so
+        // a later overflow here is harmless.
+        let sum = lane.wrapping_add((a as i32 * b as i32 + self.prod_half) >> self.prod_shift);
+        *sat |= sum;
+        *lane = sum;
+    }
+    #[inline(always)]
+    fn mac_exact(self, lane: &mut i32, sat: &mut i32, a: i16, b: i16) {
+        let sum = *lane + ((a as i32 * b as i32 + self.prod_half) >> self.prod_shift);
+        *sat |= sum;
+        *lane = sum.clamp(0, Accumulator::MAX + BIAS);
+    }
+    #[inline(always)]
+    fn tile_kernel<const TJ: usize, const R: usize>(
+        self,
+        arows: [&[i16]; R],
+        b: &[i16],
+        n: usize,
+        jt: usize,
+    ) -> Option<Tile<Self, TJ, R>> {
+        #[cfg(target_arch = "x86_64")]
+        if TJ == 32
+            && R == 4
+            && self.prod_half <= i32::from(i16::MAX)
+            && is_x86_feature_detected!("avx512bw")
+        {
+            // SAFETY: `avx512bw` support was just detected on this CPU.
+            #[allow(unsafe_code)]
+            let (lanes, sats) =
+                unsafe { tile_avx512bw(self, std::array::from_fn(|r| arows[r]), b, n, jt) };
+            let fit = |t: &[[i32; 32]; 4]| -> [[i32; TJ]; R] {
+                std::array::from_fn(|r| std::array::from_fn(|j| t[r][j]))
+            };
+            return Some((fit(&lanes), fit(&sats)));
+        }
+        let _ = (arows, b, n, jt);
+        None
+    }
+    #[inline(always)]
+    fn sat_merge(self, a: i32, b: i32) -> i32 {
+        a | b
+    }
+    #[inline(always)]
+    fn settled(self, sat: i32) -> bool {
+        !saturated(sat)
     }
     #[inline(always)]
     fn finish<E: Epilogue<i32>>(
@@ -193,13 +257,18 @@ impl Datapath for QuantPath {
         sat: i32,
         e: usize,
         epi: &E,
-        stats: &mut (u64, u64),
+        tally: &mut (u32, u32),
     ) -> i16 {
-        stats.0 += u64::from(sat != 0);
-        let v = (lane + self.out_half) >> self.out_shift;
+        tally.0 += u32::from(saturated(sat));
+        let v = (lane + self.out_round) >> self.out_shift;
         let clipped = v.clamp(i16::MIN as i32, i16::MAX as i32);
-        stats.1 += u64::from(clipped != v);
+        tally.1 += u32::from(clipped != v);
         epi.apply(clipped, e) as i16
+    }
+    #[inline(always)]
+    fn fold(stats: &mut (u64, u64), tally: (u32, u32)) {
+        stats.0 += u64::from(tally.0);
+        stats.1 += u64::from(tally.1);
     }
     #[inline(always)]
     fn stats_add(sink: &SatSink, stats: (u64, u64)) {
@@ -209,6 +278,101 @@ impl Datapath for QuantPath {
     fn stats_take(sink: SatSink) -> (u64, u64) {
         sink.take()
     }
+}
+
+/// [`QuantPath`]'s `32 × 4` tile on AVX-512BW, for `prod_half < 2^15`:
+/// the lanes of its [`Datapath::mac`] steps bit for bit, and flags that
+/// read the same to [`Datapath::settled`] and [`Datapath::finish`] (each
+/// lane carries the OR of its own and its neighbour's sums, so the tile's
+/// merged flag is unchanged, and a settled tile's flags are all clear).
+///
+/// On 512-bit vectors LLVM multiplies sign-extended `i16` lanes with
+/// `vpmulld` (two uops each), after widening each row of `B` with a
+/// shuffle. Here the 32 codes of a `B` row stay one `i16` vector: masking
+/// and shifting its 32-bit words splits it into even and odd codes, each
+/// paired with a 1 in the high half. `vpmaddwd` against the weight paired
+/// with the rounding half then yields `a·b + half` in one uop. Even and
+/// odd lanes stay apart until the end, where one permute per half
+/// restores column order; both sums fold into the flag in one ternary
+/// OR. Shared by the four rows, the `B` row costs one load and four ALU
+/// ops per `k` step.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512BW. Every memory access is through
+/// bounds-checked slices of `b` (one 32-code strip per row of `b`) and of
+/// the 32-lane output rows.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx512bw")]
+#[inline]
+unsafe fn tile_avx512bw(
+    path: QuantPath,
+    arows: [&[i16]; 4],
+    b: &[i16],
+    n: usize,
+    jt: usize,
+) -> ([[i32; 32]; 4], [[i32; 32]; 4]) {
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi32, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd_epi16,
+        _mm512_or_si512, _mm512_permutex2var_epi32, _mm512_set1_epi32, _mm512_setr_epi32,
+        _mm512_setzero_si512, _mm512_srav_epi32, _mm512_srli_epi32, _mm512_storeu_si512,
+        _mm512_ternarylogic_epi32,
+    };
+    let shift = _mm512_set1_epi32(path.prod_shift as i32);
+    let low = _mm512_set1_epi32(0xFFFF);
+    let one_high = _mm512_set1_epi32(0x1_0000);
+    // The high half of each weight pair multiplies the 1 beside each code.
+    let half_high = (path.prod_half as u32) << 16;
+    let mut even = [_mm512_set1_epi32(BIAS); 4];
+    let mut odd = even;
+    let mut sat = [_mm512_setzero_si512(); 4];
+    let [a0, a1, a2, a3] = arows;
+    let weights = a0.iter().zip(a1).zip(a2.iter().zip(a3));
+    for (((&w0, &w1), (&w2, &w3)), brow) in weights.zip(b.chunks_exact(n)) {
+        let bv = &brow[jt..][..32];
+        // SAFETY: `bv` is 32 `i16`, one unaligned 512-bit load.
+        let bw = unsafe { _mm512_loadu_si512(bv.as_ptr().cast()) };
+        let be = _mm512_or_si512(_mm512_and_si512(bw, low), one_high);
+        let bo = _mm512_or_si512(_mm512_srli_epi32::<16>(bw), one_high);
+        for (r, a) in [w0, w1, w2, w3].into_iter().enumerate() {
+            let pair = _mm512_set1_epi32((u32::from(a as u16) | half_high) as i32);
+            let step = |acc: __m512i, bx: __m512i| {
+                _mm512_add_epi32(acc, _mm512_srav_epi32(_mm512_madd_epi16(bx, pair), shift))
+            };
+            even[r] = step(even[r], be);
+            odd[r] = step(odd[r], bo);
+            // `sat | even | odd`.
+            sat[r] = _mm512_ternarylogic_epi32::<0xFE>(sat[r], even[r], odd[r]);
+        }
+    }
+    let lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+    let hi = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+    let interleave = |e: [__m512i; 4], o: [__m512i; 4]| {
+        let mut out = [[0i32; 32]; 4];
+        for (row, (e, o)) in out.iter_mut().zip(e.into_iter().zip(o)) {
+            let (first, second) = row.split_at_mut(16);
+            // SAFETY: each half is 16 `i32`, one unaligned 512-bit store.
+            unsafe {
+                _mm512_storeu_si512(
+                    first.as_mut_ptr().cast(),
+                    _mm512_permutex2var_epi32(e, lo, o),
+                );
+                _mm512_storeu_si512(
+                    second.as_mut_ptr().cast(),
+                    _mm512_permutex2var_epi32(e, hi, o),
+                );
+            }
+        }
+        out
+    };
+    (interleave(even, odd), interleave(sat, sat))
+}
+
+/// Whether a lane flag records a biased sum outside `[0, 2^24)`.
+#[inline(always)]
+fn saturated(sat: i32) -> bool {
+    sat as u32 >= 1 << 24
 }
 
 /// Drives one quantized streaming GEMM on the dispatched integer tile
