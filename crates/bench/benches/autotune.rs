@@ -4,9 +4,9 @@
 //! layer and writes `BENCH_autotune.json` at the repository root with,
 //! per layer:
 //!
-//! * **modeled cycles/sample** of the default plan (paper layout, batch
-//!   1, sequential) vs the tuned plan (searched layout/batch/pipeline
-//!   knobs) and the resulting modeled speedup,
+//! * **modeled cycles/sample** of the default plan (paper layout at
+//!   batch 1) vs the tuned plan (searched layout and batch), both run
+//!   sequentially, and the resulting modeled speedup,
 //! * **measured wall-clock** per sample of the quantized engine each plan
 //!   describes, serving `batch` samples on this host (best of 3),
 //! * the measured validation **saturation rate** of both plans' engines
@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use tie_bench::report::{fnum, Report};
 use tie_core::{plans_to_json, DeploymentPlan};
-use tie_sim::{PipelinedEngine, QuantizedEngine};
+use tie_sim::QuantizedEngine;
 use tie_tensor::linalg::SvdMethod;
 use tie_workloads::autotune::{autotune_layer, compile_plan_matrix, SearchSpace, TunerConfig};
 use tie_workloads::compile::spec_weights;
@@ -50,20 +50,7 @@ fn serve_seconds_per_sample(plan: &DeploymentPlan, engine: &QuantizedEngine) -> 
         .map(|i| ((i % 23) as f64 - 11.0) / 17.0)
         .collect();
     let mut ys = vec![0.0f64; m * b];
-    let secs = if plan.is_pipelined() {
-        let pipe = PipelinedEngine::quantized(
-            engine,
-            tie_core::PipelineConfig {
-                depth: plan.pipeline_depth,
-                micro_batch: plan.micro_batch,
-            },
-        )
-        .expect("valid pipeline config");
-        best_of(REPS, || pipe.matvec_batch_into(&xs, b, &mut ys).unwrap())
-    } else {
-        best_of(REPS, || engine.matvec_batch_into(&xs, b, &mut ys).unwrap())
-    };
-    secs / b as f64
+    best_of(REPS, || engine.matvec_batch_into(&xs, b, &mut ys).unwrap()) / b as f64
 }
 
 fn main() {
@@ -131,14 +118,13 @@ fn main() {
             fnum(tuned.compile_seconds),
         ]);
         report.note(format!(
-            "{}: tuned layout m={:?} n={:?} r<={} batch={} depth={} (search {:.1}s, \
-             {} layout-knob points, {} compiled)",
+            "{}: tuned layout m={:?} n={:?} r<={} batch={} (search {:.1}s, \
+             {} layout-batch points, {} compiled)",
             spec.name,
             tuned.plan.shape.row_modes,
             tuned.plan.shape.col_modes,
             tuned.plan.shape.ranks.iter().max().unwrap(),
             tuned.plan.batch,
-            tuned.plan.pipeline_depth,
             tuned_secs,
             tuned.candidates_scored,
             tuned.candidates.len(),
@@ -146,7 +132,7 @@ fn main() {
         plans.push(tuned.plan);
     }
     report.note(format!(
-        "modeled-cycle wins: {modeled_wins}/4 layers (acceptance: >= 2); svd = {:?}; \
+        "modeled-cycle wins: {modeled_wins}/4 layers; svd = {:?}; \
          wall-clock rows are best-of-{REPS} on this host, quantized datapath, \
          batch = each plan's batch",
         SvdMethod::default(),

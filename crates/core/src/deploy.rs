@@ -3,13 +3,14 @@
 //! A [`DeploymentPlan`] is the autotuner's output and the serving layer's
 //! input: everything needed to reconstruct a layer's engine exactly — the
 //! searched TT factorization and rank budget, the SVD route used to
-//! compile it, the datapath backend, the serving batch width, the
-//! pipeline cut depth, the fused epilogue, and the quantization
-//! calibration margin. Plans render to JSON through the in-tree
-//! serializer and parse back **bit-identically** (floats round-trip
-//! exactly; see the vendored `serde_json` docs), so a tuned deployment
-//! can be pinned as a fixture, diffed in review, and loaded by
-//! `tie-serve`'s registry without re-running the search.
+//! compile it, the datapath backend, the serving batch width, the fused
+//! epilogue, and the quantization calibration margin. A plan's stages run
+//! one after another, as TIE runs Algorithm 1's stages on one PE array.
+//! Plans render to JSON through the in-tree serializer and parse back
+//! **bit-identically** (floats round-trip exactly; see the vendored
+//! `serde_json` docs), so a tuned deployment can be pinned as a fixture,
+//! diffed in review, and loaded by `tie-serve`'s registry without
+//! re-running the search.
 
 use tie_tensor::linalg::{RsvdParams, SvdMethod};
 use tie_tensor::tile::Activation;
@@ -41,17 +42,12 @@ pub struct DeploymentPlan {
     pub backend: PlanBackend,
     /// Serving batch width the plan was scored at.
     pub batch: usize,
-    /// Pipeline cut depth (1 = sequential; > 1 wraps the engine in a
-    /// `StagePipeline` at this depth).
-    pub pipeline_depth: usize,
-    /// Micro-batch chunk width when pipelined.
-    pub micro_batch: usize,
     /// Activation fused into the final stage's write epilogue.
     pub activation: Activation,
     /// Headroom multiplier for quantized activation-format calibration
     /// (the re-probe loop may have widened it from the searched value).
     pub quant_margin: f64,
-    /// Modeled cycles per sample at the plan's batch/depth — the score
+    /// Modeled cycles per sample at the plan's batch — the score
     /// that won the search (informational; re-derivable from the shape).
     pub modeled_cycles_per_sample: f64,
 }
@@ -101,11 +97,6 @@ impl Serialize for DeploymentPlan {
                 ),
             ),
             ("batch".into(), Value::UInt(self.batch as u64)),
-            (
-                "pipeline_depth".into(),
-                Value::UInt(self.pipeline_depth as u64),
-            ),
-            ("micro_batch".into(), Value::UInt(self.micro_batch as u64)),
             (
                 "activation".into(),
                 Value::String(
@@ -217,8 +208,6 @@ impl DeploymentPlan {
             svd: parse_svd(v)?,
             backend,
             batch: parse_usize(v, "batch")?,
-            pipeline_depth: parse_usize(v, "pipeline_depth")?,
-            micro_batch: parse_usize(v, "micro_batch")?,
             activation,
             quant_margin: parse_f64(v, "quant_margin")?,
             modeled_cycles_per_sample: parse_f64(v, "modeled_cycles_per_sample")?,
@@ -243,27 +232,19 @@ impl DeploymentPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for zero batch/depth/
-    /// micro-batch or a non-positive quantization margin.
+    /// Returns [`TensorError::InvalidArgument`] for a zero batch or a
+    /// non-positive quantization margin.
     pub fn validate(&self) -> Result<()> {
         if self.layer.is_empty() {
             return Err(invalid("deployment plan needs a layer name"));
         }
-        if self.batch == 0 || self.pipeline_depth == 0 || self.micro_batch == 0 {
-            return Err(invalid(
-                "batch, pipeline_depth and micro_batch must be at least 1",
-            ));
+        if self.batch == 0 {
+            return Err(invalid("batch must be at least 1"));
         }
         if !(self.quant_margin > 0.0 && self.quant_margin.is_finite()) {
             return Err(invalid("quant_margin must be positive and finite"));
         }
         Ok(())
-    }
-
-    /// True when the plan wraps its engine in a stage pipeline.
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline_depth > 1
     }
 }
 
@@ -301,8 +282,6 @@ mod tests {
             svd: SvdMethod::Auto { seed: 0x5EED },
             backend: PlanBackend::Quantized,
             batch: 16,
-            pipeline_depth: 2,
-            micro_batch: 1,
             activation: Activation::Relu,
             quant_margin: 1.5,
             modeled_cycles_per_sample: 336.25,
@@ -359,6 +338,16 @@ mod tests {
         ];
         let back = plans_from_json(&plans_to_json(&plans)).unwrap();
         assert_eq!(back, plans);
+    }
+
+    #[test]
+    fn older_pipeline_keys_are_ignored() {
+        let text = sample_plan().to_json().replace(
+            "\"batch\": 16,",
+            "\"batch\": 16, \"pipeline_depth\": 4, \"micro_batch\": 1,",
+        );
+        assert!(text.contains("pipeline_depth"));
+        assert_eq!(DeploymentPlan::from_json(&text).unwrap(), sample_plan());
     }
 
     #[test]

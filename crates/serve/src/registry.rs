@@ -19,7 +19,7 @@
 use crate::worker::WorkerEngine;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tie_core::{Activation, CompactEngine, DeploymentPlan, PipelineConfig, PlanBackend, Result};
+use tie_core::{Activation, CompactEngine, DeploymentPlan, PlanBackend, Result};
 use tie_sim::{PipelinedEngine, QuantConfig, QuantizedEngine};
 use tie_tensor::TensorError;
 use tie_tt::TtMatrix;
@@ -146,15 +146,14 @@ impl EngineRegistry {
 
     /// Registers an engine built from a [`DeploymentPlan`] — the
     /// autotuner's artifact — over `matrix`, the compiled TT weights the
-    /// plan describes. The plan's backend, pipeline cut depth, fused
-    /// activation, and quant calibration margin all take effect:
+    /// plan describes. The plan's backend, fused activation, and quant
+    /// calibration margin all take effect, and the engine runs its stages
+    /// sequentially on the calling worker's thread:
     ///
-    /// * `Float` + depth 1 → [`CompactEngine`],
-    /// * `Quantized` + depth 1 → [`QuantizedEngine`] calibrated at the
-    ///   plan's `quant_margin` over `quant` (pass
-    ///   [`QuantConfig::default`] unless serving needs custom formats),
-    /// * depth > 1 → either datapath wrapped in a [`PipelinedEngine`] at
-    ///   the plan's `{pipeline_depth, micro_batch}`.
+    /// * `Float` → [`CompactEngine`],
+    /// * `Quantized` → [`QuantizedEngine`] calibrated at the plan's
+    ///   `quant_margin` over `quant` (pass [`QuantConfig::default`] unless
+    ///   serving needs custom formats).
     ///
     /// # Errors
     ///
@@ -179,32 +178,18 @@ impl EngineRegistry {
                 ),
             });
         }
-        let pipe = PipelineConfig {
-            depth: plan.pipeline_depth,
-            micro_batch: plan.micro_batch,
-        };
-        match plan.backend {
-            PlanBackend::Float => {
-                let engine = CompactEngine::new(matrix)?.with_activation(plan.activation);
-                if plan.is_pipelined() {
-                    let wrapped = PipelinedEngine::float(&engine, pipe)?;
-                    Ok(self.insert_pipelined(plan.layer.clone(), wrapped))
-                } else {
-                    Ok(self.insert(plan.layer.clone(), engine))
-                }
-            }
-            PlanBackend::Quantized => {
-                let engine =
-                    QuantizedEngine::new(matrix, quant.with_probe_margin(plan.quant_margin))?
-                        .with_activation(plan.activation);
-                if plan.is_pipelined() {
-                    let wrapped = PipelinedEngine::quantized(&engine, pipe)?;
-                    Ok(self.insert_pipelined(plan.layer.clone(), wrapped))
-                } else {
-                    Ok(self.insert_quantized(plan.layer.clone(), engine))
-                }
-            }
-        }
+        let name = plan.layer.clone();
+        Ok(match plan.backend {
+            PlanBackend::Float => self.insert(
+                name,
+                CompactEngine::new(matrix)?.with_activation(plan.activation),
+            ),
+            PlanBackend::Quantized => self.insert_quantized(
+                name,
+                QuantizedEngine::new(matrix, quant.with_probe_margin(plan.quant_margin))?
+                    .with_activation(plan.activation),
+            ),
+        })
     }
 
     /// The shared float engine registered under `name` (`None` if the name
@@ -234,12 +219,6 @@ impl EngineRegistry {
     pub fn is_quantized(&self, name: &str) -> bool {
         self.quantized.contains_key(name)
             || self.pipelined.get(name).is_some_and(|e| e.is_quantized())
-    }
-
-    /// True if `name` is registered with the pipeline-parallel backend.
-    #[must_use]
-    pub fn is_pipelined(&self, name: &str) -> bool {
-        self.pipelined.contains_key(name)
     }
 
     /// `(rows M, cols N)` of the layer registered under `name`, either
@@ -427,16 +406,16 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.names(), vec!["fc".to_string(), "pfc".to_string()]);
         assert_eq!(reg.dims("pfc"), Some((6, 6)));
-        assert!(reg.is_pipelined("pfc") && !reg.is_pipelined("fc"));
+        assert!(reg.get_pipelined("fc").is_none());
         assert!(!reg.is_quantized("pfc"), "float pipeline is not quantized");
         assert!(reg.get_pipelined("pfc").is_some() && reg.get("pfc").is_none());
         // Re-registering a pipelined name as float replaces it.
         reg.insert("pfc", engine(22));
         assert_eq!(reg.len(), 2);
-        assert!(!reg.is_pipelined("pfc") && reg.get("pfc").is_some());
+        assert!(reg.get_pipelined("pfc").is_none() && reg.get("pfc").is_some());
         // And the other direction.
         reg.insert_pipelined("fc", pipelined);
-        assert!(reg.is_pipelined("fc"));
+        assert!(reg.get_pipelined("fc").is_some());
         assert_eq!(reg.worker_engines().len(), 2);
         // Partitioning carries pipelined layers to their ring shards.
         let ring = HashRing::new(3, 32).unwrap();
@@ -526,14 +505,12 @@ mod tests {
         let shape = TtShape::uniform_rank(vec![2, 3], vec![3, 2], 2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(40);
         let matrix = TtMatrix::random(&mut rng, &shape, 0.5).unwrap();
-        let plan = |name: &str, backend, depth| DeploymentPlan {
+        let plan = |name: &str, backend| DeploymentPlan {
             layer: name.to_string(),
             shape: shape.clone(),
             svd: SvdMethod::Jacobi,
             backend,
             batch: 4,
-            pipeline_depth: depth,
-            micro_batch: 1,
             activation: Activation::Relu,
             quant_margin: 1.5,
             modeled_cycles_per_sample: 0.0,
@@ -541,43 +518,31 @@ mod tests {
 
         let mut reg = EngineRegistry::new();
         reg.insert_from_plan(
-            &plan("float", PlanBackend::Float, 1),
+            &plan("float", PlanBackend::Float),
             matrix.clone(),
             QuantConfig::default(),
         )
         .unwrap()
         .insert_from_plan(
-            &plan("quant", PlanBackend::Quantized, 1),
-            matrix.clone(),
-            QuantConfig::default(),
-        )
-        .unwrap()
-        .insert_from_plan(
-            &plan("float-pipe", PlanBackend::Float, 2),
-            matrix.clone(),
-            QuantConfig::default(),
-        )
-        .unwrap()
-        .insert_from_plan(
-            &plan("quant-pipe", PlanBackend::Quantized, 2),
+            &plan("quant", PlanBackend::Quantized),
             matrix.clone(),
             QuantConfig::default(),
         )
         .unwrap();
 
-        assert_eq!(reg.len(), 4);
+        assert_eq!(reg.len(), 2);
         assert_eq!(
             reg.get("float").unwrap().activation(),
             Activation::Relu,
             "plan epilogue must be fused"
         );
         assert!(reg.get_quantized("quant").is_some());
-        assert!(reg.is_pipelined("float-pipe") && !reg.is_quantized("float-pipe"));
-        assert!(reg.is_pipelined("quant-pipe") && reg.is_quantized("quant-pipe"));
+        // Plans build sequential engines only.
+        assert!(reg.get_pipelined("float").is_none() && reg.get_pipelined("quant").is_none());
         // The plan's margin reaches the calibration.
         let wide = DeploymentPlan {
             quant_margin: 3.0,
-            ..plan("wide", PlanBackend::Quantized, 1)
+            ..plan("wide", PlanBackend::Quantized)
         };
         reg.insert_from_plan(&wide, matrix.clone(), QuantConfig::default())
             .unwrap();
@@ -593,7 +558,7 @@ mod tests {
         let other = TtMatrix::random(&mut rng, &other_shape, 0.5).unwrap();
         assert!(reg
             .insert_from_plan(
-                &plan("bad", PlanBackend::Float, 1),
+                &plan("bad", PlanBackend::Float),
                 other,
                 QuantConfig::default()
             )

@@ -32,10 +32,25 @@ pub(crate) fn validate_input(
             want: n,
         });
     }
-    match input.iter().position(|v| !v.is_finite()) {
+    match first_non_finite(input) {
         Some(index) => Err(ServeError::NonFiniteInput { index }),
         None => Ok(Arc::clone(name)),
     }
+}
+
+/// Index of the first NaN or ±∞ in `input`. Each fixed-size chunk folds
+/// branch-free (a value is non-finite when its exponent bits are all
+/// ones), so the all-finite case vectorizes; only a chunk that fails is
+/// searched for its first bad index.
+fn first_non_finite(input: &[f64]) -> Option<usize> {
+    const CHUNK: usize = 64;
+    const EXP: u64 = 0x7FF0_0000_0000_0000;
+    input.chunks(CHUNK).enumerate().find_map(|(c, chunk)| {
+        let bad = chunk
+            .iter()
+            .fold(false, |acc, v| acc | (v.to_bits() & EXP == EXP));
+        bad.then(|| c * CHUNK + chunk.iter().position(|v| !v.is_finite()).unwrap())
+    })
 }
 
 /// A cloneable handle for submitting inference requests.
@@ -399,6 +414,32 @@ mod tests {
         );
         let stats = svc.shutdown();
         assert_eq!((stats.submitted, stats.completed, stats.failed), (0, 0, 0));
+    }
+
+    #[test]
+    fn first_non_finite_reports_the_first_bad_index_across_chunks() {
+        let n = 200;
+        let base: Vec<f64> = (0..n).map(|i| (i as f64 - 99.5) / 7.0).collect();
+        assert_eq!(first_non_finite(&base), None);
+        assert_eq!(first_non_finite(&[]), None);
+        // Finite edge values pass: -0.0, subnormals and the extremes.
+        let edges = [-0.0, f64::MIN_POSITIVE / 2.0, -5e-324, f64::MAX, f64::MIN];
+        assert_eq!(first_non_finite(&[&base[..60], &edges[..]].concat()), None);
+        // 0, the last index, and each side of the 64-element chunk borders.
+        for idx in [0, 1, 63, 64, 65, 127, 128, n - 1] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut x = base.clone();
+                x[idx] = bad;
+                // Later bad values, in the same and the next chunk, do not
+                // move the reported index.
+                for later in [idx + 1, idx + 70] {
+                    if let Some(v) = x.get_mut(later) {
+                        *v = f64::NAN;
+                    }
+                }
+                assert_eq!(first_non_finite(&x), Some(idx), "{bad} at {idx}");
+            }
+        }
     }
 
     #[test]

@@ -4,19 +4,18 @@
 //! module *searches* instead. For one [`LayerSpec`] the tuner walks a
 //! [`SearchSpace`] of candidate TT layouts (divisor-based mode splits of
 //! the in/out dims via [`crate::factorize`]), rank budgets, SVD routes,
-//! serving batch widths, pipeline cut depths/micro-batches, and quant
-//! calibration margins, and emits the winning knobs as a serializable
-//! [`DeploymentPlan`] the serving registry loads directly
-//! (`EngineRegistry::insert_from_plan`).
+//! serving batch widths, and quant calibration margins, and emits the
+//! winning knobs as a serializable [`DeploymentPlan`] the serving
+//! registry loads directly (`EngineRegistry::insert_from_plan`).
 //!
 //! The search runs in three phases:
 //!
 //! 1. **Analytic enumeration** — every `(layout, rank)` candidate that
 //!    fits the SRAM budgets ([`crate::factorize::fits_budget`]) is scored
-//!    with the closed-form [`tie_core::CostModel`] over every
-//!    `(batch, depth, micro_batch)` knob setting; only the best knobs per
-//!    layout survive. Thousands of candidates cost microseconds — no
-//!    weights are touched.
+//!    with the closed-form [`tie_core::CostModel`] at every serving batch
+//!    width, with the stages run one after another as TIE runs them; only
+//!    the best batch per layout survives. Thousands of candidates cost
+//!    microseconds — no weights are touched.
 //! 2. **Compile & gate** — the top-`k` surviving layouts (per SVD route)
 //!    are actually TT-SVD-compiled, with wall-clock seconds measured and
 //!    sampled reconstruction error checked against the default plan's
@@ -65,10 +64,6 @@ pub struct SearchSpace {
     pub ranks: Vec<usize>,
     /// Serving batch widths to score.
     pub batch_sizes: Vec<usize>,
-    /// Pipeline cut depths to score (1 = sequential).
-    pub pipeline_depths: Vec<usize>,
-    /// Micro-batch chunk widths to score for pipelined candidates.
-    pub micro_batches: Vec<usize>,
     /// SVD routes to compile the survivors with (empty ⇒ the default
     /// seeded [`SvdMethod`]).
     pub svd_methods: Vec<SvdMethod>,
@@ -86,8 +81,6 @@ impl Default for SearchSpace {
             layouts_per_dim: 4,
             ranks: Vec::new(),
             batch_sizes: vec![1, 8, 16],
-            pipeline_depths: vec![1, 2, 4],
-            micro_batches: vec![1],
             svd_methods: Vec::new(),
             backend: PlanBackend::Quantized,
             quant_margins: vec![1.25, 1.5, 2.0],
@@ -148,7 +141,7 @@ pub struct CandidateReport {
     pub shape: TtShape,
     /// SVD route it was compiled with.
     pub svd: SvdMethod,
-    /// Best analytic cycles/sample over the knob grid (capped ranks).
+    /// Best analytic cycles/sample over the batch widths (capped ranks).
     pub analytic_cycles_per_sample: f64,
     /// Cycles/sample re-scored on the achieved ranks (`None` if the
     /// candidate was dropped before/at compile).
@@ -189,7 +182,7 @@ pub struct TunedLayer {
     pub tuned_saturation_rate: Option<f64>,
     /// Phase-2 audit trail (compiled candidates, in rank order).
     pub candidates: Vec<CandidateReport>,
-    /// Layout×knob combinations scored analytically in phase 1.
+    /// Layout×batch combinations scored analytically in phase 1.
     pub candidates_scored: usize,
 }
 
@@ -207,25 +200,15 @@ fn invalid(message: impl Into<String>) -> TensorError {
     }
 }
 
-/// Best `(cycles/sample, batch, depth, micro)` of one plan over the knob
-/// grid — deterministic tie-break on grid order.
-fn best_knobs(
-    model: &CostModel,
-    plan: &InferencePlan,
-    space: &SearchSpace,
-) -> (f64, usize, usize, usize) {
-    let mut best = (f64::INFINITY, 1, 1, 1);
-    for &b in &space.batch_sizes {
-        for &depth in &space.pipeline_depths {
-            for &micro in &space.micro_batches {
-                if b == 0 || micro == 0 {
-                    continue;
-                }
-                let cps = model.cycles_per_sample(plan, b, depth, micro);
-                if cps < best.0 {
-                    best = (cps, b, depth, micro);
-                }
-            }
+/// Best `(cycles/sample, batch)` of one plan run sequentially (depth 1,
+/// one chunk) over the batch widths — deterministic tie-break on list
+/// order.
+fn best_batch(model: &CostModel, plan: &InferencePlan, space: &SearchSpace) -> (f64, usize) {
+    let mut best = (f64::INFINITY, 1);
+    for &b in space.batch_sizes.iter().filter(|&&b| b > 0) {
+        let cps = model.cycles_per_sample(plan, b, 1, 1);
+        if cps < best.0 {
+            best = (cps, b);
         }
     }
     best
@@ -245,12 +228,12 @@ fn proposal_of(shape: TtShape) -> Result<LayoutProposal> {
 }
 
 /// One phase-1 survivor: a feasible layout with its best analytic
-/// `(cycles/sample, batch, depth, micro)` over the knob grid.
-type ScoredCandidate = (LayoutProposal, (f64, usize, usize, usize));
+/// `(cycles/sample, batch)` over the batch widths.
+type ScoredCandidate = (LayoutProposal, (f64, usize));
 
 /// Phase 1: enumerate SRAM-feasible layout candidates and score each with
-/// the analytic model over the knob grid. Returns candidates sorted best
-/// first, plus the number of layout×knob points scored.
+/// the analytic model over the batch widths. Returns candidates sorted
+/// best first, plus the number of layout×batch points scored.
 fn enumerate_candidates(
     spec: &LayerSpec,
     cfg: &TunerConfig,
@@ -305,8 +288,6 @@ fn enumerate_candidates(
         }
     }
 
-    let knob_points =
-        space.batch_sizes.len() * space.pipeline_depths.len() * space.micro_batches.len();
     let mut scored = 0usize;
     let mut candidates = Vec::new();
     for p in pool {
@@ -319,10 +300,10 @@ fn enumerate_candidates(
             continue;
         }
         let plan = InferencePlan::new(&p.shape)?;
-        scored += knob_points;
-        let knobs = best_knobs(&model, &plan, space);
-        if knobs.0.is_finite() {
-            candidates.push((p, knobs));
+        scored += space.batch_sizes.len();
+        let best = best_batch(&model, &plan, space);
+        if best.0.is_finite() {
+            candidates.push((p, best));
         }
     }
     if candidates.is_empty() {
@@ -450,8 +431,6 @@ pub fn autotune_layer_weights(
         svd: svd_methods[0],
         backend: space.backend,
         batch: 1,
-        pipeline_depth: 1,
-        micro_batch: 1,
         activation: spec.activation,
         quant_margin: default_margin,
         modeled_cycles_per_sample: default_cps,
@@ -468,16 +447,14 @@ pub fn autotune_layer_weights(
     struct Winner {
         matrix: TtMatrix<f64>,
         cps: f64,
-        knobs: (usize, usize, usize),
+        batch: usize,
         svd: SvdMethod,
         seconds: f64,
         rel_error: Option<f64>,
     }
     let mut reports: Vec<CandidateReport> = Vec::new();
     let mut winner: Option<Winner> = None;
-    for (compiled_count, (proposal, (analytic_cps, b, depth, micro))) in
-        candidates.into_iter().enumerate()
-    {
+    for (compiled_count, (proposal, (analytic_cps, b))) in candidates.into_iter().enumerate() {
         // Compile the analytic top-k; keep descending past k only while
         // every compiled candidate has been rejected (the gate must never
         // leave the tuner empty-handed when a feasible candidate exists).
@@ -542,7 +519,7 @@ pub fn autotune_layer_weights(
             }
             // Re-score on the achieved ranks.
             let achieved_plan = InferencePlan::new(matrix.shape())?;
-            let cps = model.cycles_per_sample(&achieved_plan, b, depth, micro);
+            let cps = model.cycles_per_sample(&achieved_plan, b, 1, 1);
             report.achieved_cycles_per_sample = Some(cps);
             reports.push(report);
             let better = winner.as_ref().is_none_or(|best| cps < best.cps);
@@ -550,7 +527,7 @@ pub fn autotune_layer_weights(
                 winner = Some(Winner {
                     matrix,
                     cps,
-                    knobs: (b, depth, micro),
+                    batch: b,
                     svd,
                     seconds,
                     rel_error,
@@ -580,15 +557,12 @@ pub fn autotune_layer_weights(
         }
     };
 
-    let (batch, pipeline_depth, micro_batch) = winner.knobs;
     let plan = DeploymentPlan {
         layer: spec.name.to_string(),
         shape: winner.matrix.shape().clone(),
         svd: winner.svd,
         backend: space.backend,
-        batch,
-        pipeline_depth,
-        micro_batch,
+        batch: winner.batch,
         activation: spec.activation,
         quant_margin,
         modeled_cycles_per_sample: winner.cps,
@@ -662,8 +636,8 @@ pub fn compile_plan_matrix(plan: &DeploymentPlan, w: &Tensor<f64>) -> Result<TtM
 
 /// Builds a serving registry from deployment plans: for each plan, find
 /// its [`LayerSpec`] by name, synthesize the spec's weights, compile the
-/// plan's layout ([`compile_plan_matrix`]) and register the engine the
-/// plan's backend/pipeline/epilogue describe
+/// plan's layout ([`compile_plan_matrix`]) and register the sequential
+/// engine the plan's backend and epilogue describe
 /// (`EngineRegistry::insert_from_plan`). This is the load path a tuned
 /// deployment ships with — no search re-run, just plan + weights.
 ///
@@ -730,7 +704,6 @@ mod tests {
             space: SearchSpace {
                 layouts_per_dim: 2,
                 batch_sizes: vec![1, 8],
-                pipeline_depths: vec![1, 2],
                 ..SearchSpace::default()
             },
             top_k: 2,
@@ -749,8 +722,8 @@ mod tests {
             tuned.default_cycles_per_sample
         );
         assert!(tuned.modeled_speedup() > 1.0);
-        // The searched knobs actually moved off the default point.
-        assert!(tuned.plan.batch > 1 || tuned.plan.pipeline_depth > 1);
+        // The searched batch actually moved off the default point.
+        assert!(tuned.plan.batch > 1);
         assert!(tuned.candidates_scored > 0);
         // Plan JSON round-trips bit-identically.
         let back = DeploymentPlan::from_json(&tuned.plan.to_json()).unwrap();
@@ -864,11 +837,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(registry.names(), vec!["tiny-fc".to_string()]);
-        assert!(registry.is_quantized("tiny-fc"));
-        assert_eq!(
-            registry.is_pipelined("tiny-fc"),
-            tuned.plan.pipeline_depth > 1
-        );
+        assert!(registry.get_quantized("tiny-fc").is_some());
+        assert!(registry.get_pipelined("tiny-fc").is_none());
         // Unknown plan names are rejected.
         let mut stray = tuned.plan.clone();
         stray.layer = "nope".into();

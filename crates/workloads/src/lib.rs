@@ -17,10 +17,9 @@
 //!   `EngineRegistry`, with compression-ratio and reconstruction-error
 //!   reporting against Table 4,
 //! * [`autotune`] — per-layer design-space search over TT layouts, rank
-//!   budgets, SVD routes, batch widths, pipeline cut depths and quant
-//!   calibration margins, emitting serializable
-//!   [`tie_core::DeploymentPlan`]s validated against live saturation
-//!   measurement.
+//!   budgets, SVD routes, batch widths and quant calibration margins,
+//!   emitting serializable [`tie_core::DeploymentPlan`]s validated
+//!   against live saturation measurement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,11 @@
 //! Autotuner deployment-plan suite: the JSON round-trip property, golden
-//! tuned-plan fixtures for two Table 4 layers, worker-pool determinism,
-//! and the saturation re-probe loop at integration scale.
+//! tuned-plan fixtures for two Table 4 layers, the shipped
+//! `tuned_plans_table4.json`, worker-pool determinism, and the saturation
+//! re-probe loop at integration scale.
 //!
 //! The golden fixtures under `tests/fixtures/golden_tuned_plan_*.json`
 //! pin the tuner's *output contract*: the exact plan (layout, ranks, SVD
-//! seed, serving knobs, validated margin) the pinned search config
+//! seed, serving batch, validated margin) the pinned search config
 //! produces for LSTM-UCF11 and LSTM-Youtube. The fast tests parse and
 //! re-derive the fixtures without running the search; the `#[ignore]`d
 //! reproduction test re-runs the search in release mode (ci.sh tier-2)
@@ -15,13 +16,16 @@
 //! `cargo test --release --test autotune_plans -- --ignored regenerate`
 
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use serde_json::Value;
 use tie::core::{plans_from_json, plans_to_json};
 use tie::core::{Activation, CostModel, DeploymentPlan, InferencePlan, PlanBackend};
+use tie::serve::EngineRegistry;
 use tie::sim::{QuantConfig, ReprobeConfig, TieConfig};
 use tie::tensor::linalg::{RsvdParams, SvdMethod};
 use tie::tensor::parallel;
-use tie::tt::TtShape;
+use tie::tt::{TtMatrix, TtShape};
 use tie::workloads::autotune::{autotune_layer, SearchSpace, TunerConfig};
 use tie::workloads::{table4_layer_specs, LayerSpec, Task};
 
@@ -63,23 +67,19 @@ fn plan_strategy() -> impl Strategy<Value = DeploymentPlan> {
         (0usize..4, 1u32..1000),
         shape_strategy(),
         svd_strategy(),
-        (0usize..2, 0usize..2, 1usize..=64, 1usize..=8, 1usize..=16),
+        (0usize..2, 0usize..2, 1usize..=64),
         (1e-3f64..1e3, 0.0f64..1e12),
     )
         .prop_map(
-            |((name_ix, tag), shape, svd, (backend, act, batch, depth, micro), (margin, cps))| {
-                DeploymentPlan {
-                    layer: format!("{}-{tag}", ["fc", "lstm", "conv", "attn"][name_ix]),
-                    shape,
-                    svd,
-                    backend: [PlanBackend::Float, PlanBackend::Quantized][backend],
-                    batch,
-                    pipeline_depth: depth,
-                    micro_batch: micro,
-                    activation: [Activation::Identity, Activation::Relu][act],
-                    quant_margin: margin,
-                    modeled_cycles_per_sample: cps,
-                }
+            |((name_ix, tag), shape, svd, (backend, act, batch), (margin, cps))| DeploymentPlan {
+                layer: format!("{}-{tag}", ["fc", "lstm", "conv", "attn"][name_ix]),
+                shape,
+                svd,
+                backend: [PlanBackend::Float, PlanBackend::Quantized][backend],
+                batch,
+                activation: [Activation::Identity, Activation::Relu][act],
+                quant_margin: margin,
+                modeled_cycles_per_sample: cps,
             },
         )
 }
@@ -207,38 +207,32 @@ fn check_fixture(name: &str) {
         assert_eq!(&back, plan, "{name}: fixture plan does not round-trip");
     }
 
-    // The stored score is re-derivable from the shape + knobs with the
+    // The stored score is re-derivable from the shape + batch with the
     // same cost model the tuner used — the fixture can't smuggle in a
     // number the hardware model wouldn't produce.
-    let model: CostModel = TieConfig::default().cost_model();
     for plan in [&default, &tuned] {
-        let inference = InferencePlan::new(&plan.shape).unwrap();
-        let cps = model.cycles_per_sample(
-            &inference,
-            plan.batch,
-            plan.pipeline_depth,
-            plan.micro_batch,
-        );
-        assert_eq!(
-            cps.to_bits(),
-            plan.modeled_cycles_per_sample.to_bits(),
-            "{name}: stored modeled_cycles_per_sample diverges from the cost model"
-        );
+        assert_score_rederives(plan);
     }
 
-    // The default plan is the paper setting: spec layout, batch 1,
-    // sequential. The tuned plan must beat it on modeled cycles (the
-    // acceptance criterion) by moving at least one serving knob.
+    // The default plan is the paper setting: spec layout, batch 1. The
+    // tuned plan never loses to it on modeled cycles, and its validated
+    // margin is no wider than the default's. (On these layers the
+    // sequential batch knob ties, so the search keeps the paper layout.)
     assert_eq!(default.shape.row_modes, spec.row_modes);
     assert_eq!(default.shape.col_modes, spec.col_modes);
-    assert_eq!((default.batch, default.pipeline_depth), (1, 1));
+    assert_eq!(default.batch, 1);
     assert!(
-        tuned.modeled_cycles_per_sample < default.modeled_cycles_per_sample,
-        "{name}: tuned {} must beat default {}",
+        tuned.modeled_cycles_per_sample <= default.modeled_cycles_per_sample,
+        "{name}: tuned {} must not lose to default {}",
         tuned.modeled_cycles_per_sample,
         default.modeled_cycles_per_sample
     );
-    assert!(tuned.batch > 1 || tuned.pipeline_depth > 1);
+    assert!(
+        tuned.quant_margin <= default.quant_margin,
+        "{name}: tuned margin {} wider than default {}",
+        tuned.quant_margin,
+        default.quant_margin
+    );
     // The validated margin is positive and at least the tightest searched
     // one (the re-probe ladder can only widen, never tighten).
     let tightest = fixture_cfg()
@@ -248,6 +242,20 @@ fn check_fixture(name: &str) {
         .copied()
         .fold(f64::INFINITY, f64::min);
     assert!(tuned.quant_margin >= tightest);
+}
+
+/// Asserts that a plan's stored `modeled_cycles_per_sample` is exactly the
+/// cost model's sequential score at the plan's batch.
+fn assert_score_rederives(plan: &DeploymentPlan) {
+    let model: CostModel = TieConfig::default().cost_model();
+    let inference = InferencePlan::new(&plan.shape).unwrap();
+    let cps = model.cycles_per_sample(&inference, plan.batch, 1, 1);
+    assert_eq!(
+        cps.to_bits(),
+        plan.modeled_cycles_per_sample.to_bits(),
+        "{}: stored modeled_cycles_per_sample diverges from the cost model",
+        plan.layer
+    );
 }
 
 #[test]
@@ -291,6 +299,36 @@ fn tuned_plan_search_reproduces_the_fixtures() {
 }
 
 // ---------------------------------------------------------------------------
+// The shipped deployment: `tuned_plans_table4.json` at the repo root, which
+// the `table4-tuned` benchmark workload serves. No search, so it is cheap.
+// ---------------------------------------------------------------------------
+
+/// The shipped plans parse, carry scores the cost model re-derives bit for
+/// bit, and register as sequential quantized engines.
+#[test]
+fn shipped_table4_plans_rederive_and_register_sequentially() {
+    let plans = plans_from_json(include_str!("../tuned_plans_table4.json")).unwrap();
+    let names: Vec<&str> = plans.iter().map(|p| p.layer.as_str()).collect();
+    let specs: Vec<&str> = table4_layer_specs().iter().map(|s| s.name).collect();
+    assert_eq!(names, specs, "one shipped plan per Table 4 layer, in order");
+    let mut registry = EngineRegistry::new();
+    for (i, plan) in plans.iter().enumerate() {
+        assert_score_rederives(plan);
+        let mut rng = ChaCha8Rng::seed_from_u64(i as u64);
+        let matrix = TtMatrix::random(&mut rng, &plan.shape, 0.5).unwrap();
+        registry
+            .insert_from_plan(plan, matrix, QuantConfig::default())
+            .unwrap();
+        let name = plan.layer.as_str();
+        assert!(
+            registry.get_quantized(name).is_some(),
+            "{name}: not quantized"
+        );
+        assert!(registry.get_pipelined(name).is_none(), "{name}: pipelined");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Determinism across worker-pool sizes, and the re-probe loop, on a
 // compile-in-milliseconds layer (runs in debug mode as part of tier 1).
 // ---------------------------------------------------------------------------
@@ -314,7 +352,6 @@ fn small_cfg() -> TunerConfig {
         space: SearchSpace {
             layouts_per_dim: 2,
             batch_sizes: vec![1, 8],
-            pipeline_depths: vec![1, 2],
             ..SearchSpace::default()
         },
         top_k: 2,
