@@ -1,6 +1,6 @@
 //! Serving-layer throughput benchmark (serving PR acceptance evidence).
 //!
-//! Sweeps the dynamic batcher's `max_batch` over {1, 4, 16, 64} with a
+//! Sweeps the service's `max_batch` over {1, 4, 16, 64} with a
 //! fixed offered load (8 client threads pipelining requests against one
 //! VGG-FC6-shaped layer) and records completed requests per second plus
 //! the realized mean batch occupancy and latency. `max_batch = 1`
@@ -13,7 +13,7 @@
 //! Writes `BENCH_serve.json` at the repository root.
 
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
@@ -56,7 +56,6 @@ fn run_load(
     registry.insert("fc6", engine.clone());
     let config = ServeConfig {
         max_batch,
-        max_wait: Duration::from_micros(200),
         queue_capacity: 1024,
         workers: 0, // resolve from tie_tensor::parallel
     };
@@ -147,7 +146,7 @@ fn write_json(engine: &CompactEngine<f64>) {
     }
     report.note(format!(
         "{CLIENTS} client threads x {REQUESTS_PER_CLIENT} requests, pipeline depth \
-         {PIPELINE_DEPTH}, max_wait 200us, workers auto"
+         {PIPELINE_DEPTH}, workers auto"
     ));
     report.note(
         "occupancy > 1 shares per-dispatch overhead and per-stage weight \

@@ -8,12 +8,12 @@
 //! topology sees the identical request stream, so the sweep isolates
 //! what the shard router costs at S = 1 (hash + round-robin + retry
 //! bookkeeping on top of the same single service) and what independent
-//! per-shard queues/batchers buy as S grows.
+//! per-shard queues and workers buy as S grows.
 //!
 //! Writes `BENCH_shard.json` at the repository root.
 
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
@@ -60,7 +60,6 @@ fn input_for(nonce: u64, n: usize) -> Vec<f64> {
 fn replica_config() -> ServeConfig {
     ServeConfig {
         max_batch: 16,
-        max_wait: Duration::from_micros(200),
         queue_capacity: 1024,
         workers: 1,
     }
@@ -208,10 +207,10 @@ fn write_json(layers: &[(String, std::sync::Arc<CompactEngine<f64>>)]) {
     report.note(format!(
         "{CLIENTS} client threads x {REQUESTS_PER_CLIENT} requests over {LAYERS} layers \
          (64->512, d=3, r=4), pipeline depth {PIPELINE_DEPTH}; one replica and one worker \
-         per shard, max_batch 16, max_wait 200us"
+         per shard, max_batch 16"
     ));
     report.note(
-        "each shard owns an independent queue + batcher + worker, so shard count scales \
+        "each shard owns an independent queue + worker, so shard count scales \
          worker parallelism too — the S=1 row isolates pure router overhead vs the \
          no-router single service",
     );

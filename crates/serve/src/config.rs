@@ -5,31 +5,19 @@ use std::time::Duration;
 
 /// Tuning knobs of an [`crate::InferenceService`].
 ///
-/// Dispatch is work-conserving: a layer's pending requests go to a worker
-/// as soon as one is idle with nothing queued for it, however few they
-/// are. While every worker is busy, the two batching knobs decide: a
-/// batch is dispatched as soon as **either** `max_batch` requests for that
-/// layer are pending **or** the lane has been forming for `max_wait`,
-/// whichever comes first. Batches therefore grow with load, during the
-/// workers' own service time, instead of by waiting. `max_batch = 1`
-/// degrades to immediate per-request dispatch; `max_wait = 0` dispatches
-/// whatever is pending on the next batcher wake-up.
+/// Workers take requests straight from the queue: an idle worker takes
+/// the layer whose oldest request has waited longest, up to `max_batch`
+/// of its requests, however few are pending. Nothing waits for a batch to
+/// fill; batches grow with load, as requests queue up while every worker
+/// is busy. `max_batch = 1` serves one request per engine call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Dispatch a layer's batch once this many requests are queued for it
-    /// (≥ 1).
+    /// The most requests of one layer a worker takes as one batch (≥ 1).
     pub max_batch: usize,
-    /// The busy-case bound: while every worker is busy, dispatch a
-    /// layer's batch once its lane has been forming this long, even if the
-    /// batch is not full, so a cold layer cannot starve behind a hot
-    /// layer's full batches. An idle worker takes a pending lane at once
-    /// and never waits for this deadline.
-    pub max_wait: Duration,
     /// Capacity of the bounded request queue shared by all clients
-    /// (≥ 1). `try_submit` fails with [`ServeError::QueueFull`] and
-    /// `submit` blocks when it is full — this is the backpressure bound.
-    /// Besides requests, the queue carries the workers' idle wake-ups; at
-    /// most one is in flight at a time, so they occupy at most one slot.
+    /// (≥ 1), counted over all layers. `try_submit` fails with
+    /// [`ServeError::QueueFull`] and `submit` blocks when it is full —
+    /// this is the backpressure bound.
     pub queue_capacity: usize,
     /// Worker threads executing batches. `0` means auto: resolve from
     /// [`tie_tensor::parallel::num_threads`] (which honours the
@@ -48,7 +36,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 1024,
             workers: 0,
         }

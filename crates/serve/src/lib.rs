@@ -9,8 +9,8 @@
 //! concurrent requests for the same layer into one
 //! [`CompactEngine::matvec_batch_into`](tie_core::CompactEngine) call.
 //!
-//! This crate is a self-contained serving layer on `std` threads and
-//! bounded channels — no external dependencies:
+//! This crate is a self-contained serving layer on `std` threads, one
+//! `Mutex`-guarded queue and its condvars — no external dependencies:
 //!
 //! * [`EngineRegistry`] — prepared engines keyed by layer name, shared via
 //!   `Arc`. Three backends coexist: float `CompactEngine`s
@@ -26,12 +26,16 @@
 //!   [`ServiceStats::pipeline_stall_fraction`]; the books reconcile
 //!   exactly: `pipeline_stage_chunks == pipeline_chunks +
 //!   pipeline_handoffs`).
-//! * [`InferenceService`] — owns a batcher thread and a worker pool sized
-//!   by [`tie_tensor::parallel`] (workers hold private engine clones, so
-//!   execution never contends on a scratch-workspace lock).
+//! * [`InferenceService`] — owns a bounded request queue with one lane
+//!   per layer and a worker pool sized by [`tie_tensor::parallel`] that
+//!   pulls from it: an idle worker takes the lane whose head request is
+//!   oldest, up to `max_batch` requests, and runs it as one engine call.
+//!   Workers hold private engine clones, so execution never contends on a
+//!   scratch-workspace lock, and an idle worker spins for the measured
+//!   cost of a park before it parks.
 //! * [`Client`] — cheap cloneable submission handle; blocking
-//!   [`Client::submit`] and non-blocking [`Client::try_submit`] against a
-//!   bounded queue (backpressure).
+//!   [`Client::submit`] and non-blocking [`Client::try_submit`] push
+//!   straight into the bounded queue (backpressure).
 //! * [`Ticket`] — per-request future; [`Ticket::wait`] returns the
 //!   [`Response`].
 //! * [`ServiceStats`] — per-request latency and per-batch
@@ -74,9 +78,9 @@
 //! assert_eq!(stats.submitted, stats.completed + stats.failed);
 //! ```
 
-mod batcher;
 mod config;
 mod error;
+mod queue;
 mod registry;
 mod request;
 mod router;

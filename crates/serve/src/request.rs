@@ -17,11 +17,12 @@ pub struct Response {
     pub latency: Duration,
 }
 
-/// An accepted request travelling from client to batcher to worker.
+/// An accepted request travelling from client, through the queue, to a
+/// worker.
 ///
 /// The responder is single-shot: [`Request::respond`] consumes it. If a
-/// request is dropped before anyone responded (a channel torn down during
-/// shutdown), the `Drop` impl delivers [`ServeError::ShuttingDown`] and
+/// request is dropped before anyone responded (a worker died holding it,
+/// or the queue was abandoned), the `Drop` impl delivers [`ServeError::ShuttingDown`] and
 /// counts the request as failed — so the accounting invariant
 /// `submitted == completed + failed` holds on every path.
 #[derive(Debug)]
@@ -49,7 +50,7 @@ impl Request {
         (req, Ticket { rx })
     }
 
-    /// Disarms a request that never entered the queue (the send failed),
+    /// Disarms a request that never entered the queue (the push was refused),
     /// so its `Drop` neither answers nor counts a failure. The paired
     /// ticket is still held by the caller-side code and is simply dropped.
     pub(crate) fn defuse(mut self) {

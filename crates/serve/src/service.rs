@@ -1,16 +1,14 @@
-//! The service façade: thread ownership, client handles, shutdown.
+//! The service façade: the worker pool, client handles, shutdown.
 
-use crate::batcher::{run_batcher, Batch, IdleWorkers, Msg};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
+use crate::queue::Queue;
 use crate::registry::EngineRegistry;
 use crate::request::{Request, Ticket};
 use crate::stats::{ServiceStats, StatsCore};
 use crate::worker::{run_worker, WorkerEngine};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Submit-time request validation shared by [`Client`] and the sharded
@@ -62,17 +60,13 @@ fn first_non_finite(input: &[f64]) -> Option<usize> {
 /// while [`Client::try_submit`] returns [`ServeError::QueueFull`] instead.
 #[derive(Debug, Clone)]
 pub struct Client {
-    tx: SyncSender<Msg>,
+    queue: Arc<Queue>,
     registry: Arc<EngineRegistry>,
     stats: Arc<StatsCore>,
-    accepting: Arc<AtomicBool>,
 }
 
 impl Client {
     fn make_request(&self, layer: &str, input: Vec<f64>) -> Result<(Request, Ticket), ServeError> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
         let layer = validate_input(&self.registry, layer, &input)?;
         Ok(Request::new(layer, input, Arc::clone(&self.stats)))
     }
@@ -86,18 +80,7 @@ impl Client {
     /// [`ServeError::ShuttingDown`] once shutdown began.
     pub fn submit(&self, layer: &str, input: Vec<f64>) -> Result<Ticket, ServeError> {
         let (req, ticket) = self.make_request(layer, input)?;
-        match self.tx.send(Msg::Request(req)) {
-            Ok(()) => {
-                self.stats.record_submit();
-                Ok(ticket)
-            }
-            Err(e) => {
-                if let Msg::Request(req) = e.0 {
-                    req.defuse();
-                }
-                Err(ServeError::ShuttingDown)
-            }
-        }
+        self.queue.push(req, true).map(|()| ticket)
     }
 
     /// Submits a request without blocking.
@@ -109,25 +92,7 @@ impl Client {
     /// [`ServiceStats::rejected`]).
     pub fn try_submit(&self, layer: &str, input: Vec<f64>) -> Result<Ticket, ServeError> {
         let (req, ticket) = self.make_request(layer, input)?;
-        match self.tx.try_send(Msg::Request(req)) {
-            Ok(()) => {
-                self.stats.record_submit();
-                Ok(ticket)
-            }
-            Err(TrySendError::Full(msg)) => {
-                if let Msg::Request(req) = msg {
-                    req.defuse();
-                }
-                self.stats.record_reject();
-                Err(ServeError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(msg)) => {
-                if let Msg::Request(req) = msg {
-                    req.defuse();
-                }
-                Err(ServeError::ShuttingDown)
-            }
-        }
+        self.queue.push(req, false).map(|()| ticket)
     }
 
     /// The registry this client validates against.
@@ -145,24 +110,20 @@ impl Client {
 
 /// A running dynamic-batching inference service.
 ///
-/// Owns the batcher thread and the worker pool. Dropping the service (or
-/// calling [`InferenceService::shutdown`]) stops accepting new requests,
-/// drains everything already queued through the workers, and joins all
-/// threads — no accepted request is ever silently lost.
+/// Owns the request queue and the worker pool that pulls from it.
+/// Dropping the service (or calling [`InferenceService::shutdown`]) stops
+/// accepting new requests, drains everything already queued through the
+/// workers, and joins them — no accepted request is ever silently lost.
 #[derive(Debug)]
 pub struct InferenceService {
     client: Client,
-    tx: SyncSender<Msg>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    accepting: Arc<AtomicBool>,
-    stats: Arc<StatsCore>,
 }
 
 impl InferenceService {
-    /// Starts the service: spawns one batcher thread plus
-    /// [`ServeConfig::resolved_workers`] worker threads, each holding
-    /// private clones of every registered engine.
+    /// Starts the service: spawns [`ServeConfig::resolved_workers`]
+    /// worker threads, each holding private clones of every registered
+    /// engine.
     ///
     /// # Errors
     ///
@@ -183,51 +144,35 @@ impl InferenceService {
         if registry.is_empty() {
             return Err(ServeError::Config("registry has no layers".into()));
         }
-        let registry = Arc::new(registry);
         let stats = Arc::new(StatsCore::new());
-        let accepting = Arc::new(AtomicBool::new(true));
-
-        let (req_tx, req_rx) = sync_channel::<Msg>(config.queue_capacity);
         let worker_count = config.resolved_workers();
-        let (batch_tx, batch_rx) = sync_channel::<Batch>(worker_count.saturating_mul(2).max(1));
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-        let idle = Arc::new(IdleWorkers::default());
-
-        let mut workers = Vec::with_capacity(worker_count);
+        let queue = Arc::new(Queue::new(
+            config.queue_capacity,
+            config.max_batch,
+            worker_count,
+            Arc::clone(&stats),
+        ));
+        let mut service = InferenceService {
+            client: Client {
+                queue,
+                registry: Arc::new(registry),
+                stats,
+            },
+            workers: Vec::with_capacity(worker_count),
+        };
+        // On a failed spawn the early return drops `service`, whose
+        // shutdown stops and joins the workers spawned so far.
         for i in 0..worker_count {
-            let rx = Arc::clone(&batch_rx);
-            let engines = worker_engines(&registry);
-            let stats_w = Arc::clone(&stats);
-            let idle_w = Arc::clone(&idle);
-            let wake = req_tx.clone();
+            let queue = Arc::clone(&service.client.queue);
+            let engines = worker_engines(&service.client.registry);
+            let stats = Arc::clone(&service.client.stats);
             let handle = std::thread::Builder::new()
                 .name(format!("tie-serve-worker-{i}"))
-                .spawn(move || run_worker(rx, engines, stats_w, idle_w, wake))
+                .spawn(move || run_worker(queue, engines, stats))
                 .map_err(|e| ServeError::Config(format!("failed to spawn worker: {e}")))?;
-            workers.push(handle);
+            service.workers.push(handle);
         }
-
-        let stats_b = Arc::clone(&stats);
-        let (max_batch, max_wait) = (config.max_batch, config.max_wait);
-        let batcher = std::thread::Builder::new()
-            .name("tie-serve-batcher".into())
-            .spawn(move || run_batcher(req_rx, batch_tx, max_batch, max_wait, stats_b, idle))
-            .map_err(|e| ServeError::Config(format!("failed to spawn batcher: {e}")))?;
-
-        let client = Client {
-            tx: req_tx.clone(),
-            registry,
-            stats: Arc::clone(&stats),
-            accepting: Arc::clone(&accepting),
-        };
-        Ok(InferenceService {
-            client,
-            tx: req_tx,
-            batcher: Some(batcher),
-            workers,
-            accepting,
-            stats,
-        })
+        Ok(service)
     }
 
     /// A new client handle. Handles are cheap to clone and outlive the
@@ -241,45 +186,38 @@ impl InferenceService {
     /// A point-in-time snapshot of the service counters.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        self.stats.snapshot()
+        self.client.stats()
     }
 
     /// Graceful shutdown protocol:
     ///
-    /// 1. flip `accepting` so new `submit` calls fail fast,
-    /// 2. push the `Shutdown` sentinel through the request queue (behind
-    ///    any already-queued requests, so they are all still served),
-    /// 3. join the batcher (it drains lanes to the workers and exits,
-    ///    dropping the batch channel),
-    /// 4. join the workers (they finish queued batches, then see the
-    ///    disconnect and exit).
+    /// 1. close the queue, so new submissions fail with
+    ///    [`ServeError::ShuttingDown`] and parked workers and blocked
+    ///    `submit` calls wake,
+    /// 2. join the workers (they drain every lane as `Drain` batches, then
+    ///    exit),
+    /// 3. fail anything still queued, which only a pool that died before
+    ///    draining can leave.
     ///
-    /// A thread that ended in a panic is counted in
+    /// A worker that ended in a panic is counted in
     /// [`ServiceStats::thread_panics`]. Returns the final counter
     /// snapshot, for which `submitted == completed + failed` holds.
     pub fn shutdown(mut self) -> ServiceStats {
         self.shutdown_in_place();
-        self.stats.snapshot()
+        self.stats()
     }
 
     fn shutdown_in_place(&mut self) {
-        let Some(batcher) = self.batcher.take() else {
-            return;
-        };
-        self.accepting.store(false, Ordering::Release);
-        // The sentinel may block while the queue is full; the batcher is
-        // draining it, so this terminates. If the batcher already exited
-        // (queue disconnected) the send fails, which is equally fine.
-        let _ = self.tx.send(Msg::Shutdown);
-        // A thread that panicked outside any engine call has already
+        self.client.queue.close();
+        // A worker that panicked outside any engine call has already
         // failed the requests it held (their drop guards answer
         // `ShuttingDown`); count the thread so the panic stays visible.
-        let handles = std::iter::once(batcher).chain(self.workers.drain(..));
-        for handle in handles {
+        for handle in self.workers.drain(..) {
             if handle.join().is_err() {
-                self.stats.record_thread_panic();
+                self.client.stats.record_thread_panic();
             }
         }
+        self.client.queue.abandon();
     }
 }
 
@@ -289,24 +227,23 @@ impl Drop for InferenceService {
     }
 }
 
-/// A client around a bare bounded channel with no batcher draining it —
-/// the deterministic way for in-crate tests to exercise the `QueueFull`
-/// and `Disconnected` paths (timing-free: the queue stays exactly as full
-/// as the test leaves it).
+/// A client around a queue with no workers behind it — the deterministic
+/// way for in-crate tests to exercise the `QueueFull` and `ShuttingDown`
+/// paths (timing-free: the queue stays exactly as full as the test leaves
+/// it). Abandoning the returned queue closes it and fails what it holds.
 #[cfg(test)]
 pub(crate) fn rigged_client(
     registry: Arc<EngineRegistry>,
     stats: Arc<StatsCore>,
     capacity: usize,
-) -> (Client, std::sync::mpsc::Receiver<Msg>) {
-    let (tx, rx) = sync_channel::<Msg>(capacity);
+) -> (Client, Arc<Queue>) {
+    let queue = Arc::new(Queue::new(capacity, 1, 0, Arc::clone(&stats)));
     let client = Client {
-        tx,
+        queue: Arc::clone(&queue),
         registry,
         stats,
-        accepting: Arc::new(AtomicBool::new(true)),
     };
-    (client, rx)
+    (client, queue)
 }
 
 #[cfg(test)]
@@ -348,7 +285,6 @@ mod tests {
             reg,
             ServeConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 ..Default::default()
             },
         )
@@ -383,7 +319,6 @@ mod tests {
             reg,
             ServeConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 ..Default::default()
             },
         )
@@ -450,7 +385,6 @@ mod tests {
             reg,
             ServeConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 ..Default::default()
             },
         )
@@ -506,13 +440,12 @@ mod tests {
     fn shutdown_drains_pending_requests() {
         let reg = registry(6);
         let engine = reg.get("fc").unwrap();
-        // Huge max_batch + long max_wait: nothing is full or expires, so
-        // every request leaves through an idle worker or the drain.
+        // Huge max_batch: no batch is full, so every request leaves
+        // through an idle worker or the drain.
         let svc = InferenceService::start(
             reg,
             ServeConfig {
                 max_batch: 1024,
-                max_wait: Duration::from_secs(60),
                 ..Default::default()
             },
         )
@@ -541,14 +474,13 @@ mod tests {
     }
 
     #[test]
-    fn idle_worker_answers_long_before_max_wait() {
+    fn idle_worker_answers_a_lone_request_at_once() {
         let reg = registry(12);
         let engine = reg.get("fc").unwrap();
         let svc = InferenceService::start(
             reg,
             ServeConfig {
                 max_batch: 64,
-                max_wait: Duration::from_secs(60),
                 workers: 1,
                 ..Default::default()
             },
@@ -557,8 +489,7 @@ mod tests {
         let client = svc.client();
         for seed in 0..3 {
             let x = vec![0.1 * f64::from(seed); 6];
-            // The deadline is a minute away; only the idle rule answers
-            // inside the timeout.
+            // Nothing fills the batch: the idle worker takes it as it is.
             let resp = client
                 .submit("fc", x.clone())
                 .unwrap()
@@ -665,30 +596,65 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_reports_queue_full_and_disconnect() {
-        // Rig a client around a capacity-1 queue with no batcher draining
-        // it, so the Full and Disconnected paths are deterministic.
+    fn a_dead_pool_refuses_or_fails_later_requests() {
+        use crate::worker::ASSEMBLY_PANIC_TRIGGER;
+        // One worker, killed by a panic outside its engine call: nothing
+        // is left to take a request, so none may wait for an answer.
+        let svc = InferenceService::start(
+            registry(15),
+            ServeConfig {
+                max_batch: 1,
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let client = svc.client();
+        let mut poisoned = vec![0.5; 6];
+        poisoned[0] = ASSEMBLY_PANIC_TRIGGER;
+        assert_eq!(
+            client.submit("fc", poisoned).unwrap().wait(),
+            Err(ServeError::ShuttingDown)
+        );
+        // Refused once the dead worker closed the queue; if it raced in
+        // before, the retiring worker failed it.
+        match client.submit("fc", vec![0.25; 6]) {
+            Err(e) => assert_eq!(e, ServeError::ShuttingDown),
+            Ok(ticket) => assert_eq!(
+                ticket.wait_timeout(Duration::from_secs(5)),
+                Err(ServeError::ShuttingDown)
+            ),
+        }
+        let stats = svc.shutdown();
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
+        assert_eq!((stats.completed, stats.thread_panics), (0, 1));
+    }
+
+    #[test]
+    fn try_submit_reports_queue_full_and_shutdown() {
+        // Rig a client around a capacity-1 queue with no worker draining
+        // it, so the Full and ShuttingDown paths are deterministic.
         let stats = Arc::new(StatsCore::new());
-        let (tx, rx) = sync_channel::<Msg>(1);
-        let client = Client {
-            tx,
-            registry: Arc::new(registry(8)),
-            stats: Arc::clone(&stats),
-            accepting: Arc::new(AtomicBool::new(true)),
-        };
-        let _ticket = client.try_submit("fc", vec![0.1; 6]).unwrap();
+        let (client, queue) = rigged_client(Arc::new(registry(8)), Arc::clone(&stats), 1);
+        let ticket = client.try_submit("fc", vec![0.1; 6]).unwrap();
         assert_eq!(
             client.try_submit("fc", vec![0.1; 6]).unwrap_err(),
             ServeError::QueueFull
         );
         let s = stats.snapshot();
         assert_eq!((s.submitted, s.rejected), (1, 1));
-        drop(rx);
-        assert_eq!(
-            client.try_submit("fc", vec![0.1; 6]).unwrap_err(),
-            ServeError::ShuttingDown
-        );
-        // Neither the rejected nor the disconnected attempt leaks into the
+        // No worker left: abandoning fails the queued request.
+        queue.abandon();
+        assert_eq!(ticket.wait(), Err(ServeError::ShuttingDown));
+        for block in [false, true] {
+            let refused = if block {
+                client.submit("fc", vec![0.1; 6])
+            } else {
+                client.try_submit("fc", vec![0.1; 6])
+            };
+            assert_eq!(refused.unwrap_err(), ServeError::ShuttingDown);
+        }
+        // Neither the rejected nor the refused attempts leak into the
         // submitted/failed accounting.
         let s = stats.snapshot();
         assert_eq!((s.submitted, s.rejected, s.failed), (1, 1, 1));

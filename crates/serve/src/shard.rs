@@ -11,8 +11,8 @@
 //!   registry — the serving-level analogue of the paper's compact scheme
 //!   pinning each TT stage to a fixed core set;
 //! * each shard runs `R` **replicas**, each a full dynamic-batching
-//!   service over the shard's partition with its own bounded queue,
-//!   batcher and worker pool — the backpressure and graceful-drain
+//!   service over the shard's partition with its own bounded queue and
+//!   worker pool — the backpressure and graceful-drain
 //!   discipline is inherited wholesale, not re-implemented;
 //! * a cloneable [`ShardedClient`] routes by layer key, spreads load over
 //!   a shard's replicas round-robin, retries with bounded linear backoff
@@ -265,7 +265,6 @@ impl ShardedClient {
 /// ```
 /// use rand::SeedableRng;
 /// use rand_chacha::ChaCha8Rng;
-/// use std::time::Duration;
 /// use tie_core::CompactEngine;
 /// use tie_serve::{EngineRegistry, ServeConfig, ShardConfig, ShardedService};
 /// use tie_tt::{TtMatrix, TtShape};
@@ -281,7 +280,7 @@ impl ShardedClient {
 /// let config = ShardConfig {
 ///     shards: 2,
 ///     replicas: 2,
-///     replica: ServeConfig { max_wait: Duration::from_micros(100), ..Default::default() },
+///     replica: ServeConfig { max_batch: 8, ..Default::default() },
 ///     ..Default::default()
 /// };
 /// let service = ShardedService::start(registry, config).unwrap();
@@ -555,7 +554,6 @@ mod tests {
             replicas,
             replica: ServeConfig {
                 max_batch: 4,
-                max_wait: Duration::from_micros(200),
                 queue_capacity: 64,
                 workers: 1,
             },
@@ -704,14 +702,14 @@ mod tests {
     #[test]
     fn full_queues_reject_after_bounded_retries() {
         // Deterministic backpressure: one rigged replica around a
-        // capacity-1 channel nobody drains, so "full" is not transient
-        // (a real batcher drains its queue and races the assertion).
+        // capacity-1 queue nobody drains, so "full" is not transient
+        // (a real worker drains its queue and races the assertion).
         use crate::stats::StatsCore;
         let mut reg = EngineRegistry::new();
         reg.insert("fc", engine(1));
         let registry = Arc::new(reg);
         let stats = Arc::new(StatsCore::new());
-        let (client, _rx) =
+        let (client, _queue) =
             crate::service::rigged_client(Arc::clone(&registry), Arc::clone(&stats), 1);
         let state = SharedState {
             ring: HashRing::new(1, 8).unwrap(),

@@ -3,21 +3,18 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Why a batch left the batcher.
+/// Why a worker took a batch from the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DispatchCause {
-    /// `max_batch` requests were pending.
+    /// The batch holds `max_batch` requests.
     Full,
-    /// The oldest pending request hit the `max_wait` deadline while every
-    /// worker was busy.
-    Deadline,
-    /// A worker was idle with nothing queued for it.
+    /// A worker took a shorter lane as it stood.
     Idle,
     /// Shutdown drain.
     Drain,
 }
 
-/// Shared atomic counters. Workers and the batcher record into this;
+/// Shared atomic counters. Clients and workers record into this;
 /// [`StatsCore::snapshot`] reads it out as a [`ServiceStats`].
 #[derive(Debug)]
 pub(crate) struct StatsCore {
@@ -95,7 +92,6 @@ impl StatsCore {
             .fetch_add(occupancy as u64, Ordering::Relaxed);
         let counter = match cause {
             DispatchCause::Full => &self.full_batches,
-            DispatchCause::Deadline => &self.deadline_batches,
             DispatchCause::Idle => &self.idle_batches,
             DispatchCause::Drain => &self.drain_batches,
         };
@@ -119,8 +115,8 @@ impl StatsCore {
         self.engine_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one service thread (the batcher or a worker) that ended in
-    /// a panic outside any engine call.
+    /// Counts one worker thread that ended in a panic outside any engine
+    /// call.
     pub(crate) fn record_thread_panic(&self) {
         self.thread_panics.fetch_add(1, Ordering::Relaxed);
     }
@@ -343,7 +339,7 @@ impl ShardedStats {
 /// Every batch has exactly one dispatch cause, so
 /// `batches == full_batches + deadline_batches + idle_batches +
 /// drain_batches` holds at any snapshot taken while no batch is being
-/// dispatched, and always after shutdown.
+/// taken, and always after shutdown (`deadline_batches` is always 0).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests accepted into the queue.
@@ -359,20 +355,20 @@ pub struct ServiceStats {
     /// batch's requests are answered with [`crate::ServeError::Engine`]
     /// and counted in `failed`.
     pub engine_panics: u64,
-    /// Service threads (the batcher or a worker) that ended in a panic
-    /// outside any engine call, counted when shutdown joins them. The
-    /// requests such a thread held are answered
-    /// [`crate::ServeError::ShuttingDown`] and counted in `failed`.
+    /// Worker threads that ended in a panic outside any engine call,
+    /// counted when shutdown joins them. The requests such a thread held
+    /// are answered [`crate::ServeError::ShuttingDown`] and counted in
+    /// `failed`; if it was the last worker, so is every queued request.
     pub thread_panics: u64,
-    /// Batches dispatched to the worker pool.
+    /// Batches the workers took from the queue.
     pub batches: u64,
-    /// Batches dispatched because `max_batch` was reached.
+    /// Batches of `max_batch` requests.
     pub full_batches: u64,
-    /// Batches dispatched because `max_wait` expired while every worker
-    /// was busy.
+    /// Always 0. Batches once dispatched on a wait deadline; workers now
+    /// take requests straight from the queue, with no deadline to wait
+    /// out. Kept so readers of the counter still compile.
     pub deadline_batches: u64,
-    /// Batches handed to a worker that was idle with nothing queued for
-    /// it (work-conserving dispatch, before the batch was full).
+    /// Batches a worker took shorter than `max_batch`, as the lane stood.
     pub idle_batches: u64,
     /// Batches flushed by the shutdown drain.
     pub drain_batches: u64,
@@ -621,7 +617,6 @@ mod tests {
         core2.record_thread_panic();
         core2.record_batch(1, DispatchCause::Idle);
         core2.record_batch(1, DispatchCause::Full);
-        core2.record_batch(1, DispatchCause::Deadline);
         core2.record_batch(1, DispatchCause::Drain);
         let b = core2.snapshot();
         let mut total = ServiceStats::default();
@@ -633,7 +628,7 @@ mod tests {
         assert_eq!(total.submitted, total.completed + total.failed);
         assert_eq!(total.engine_panics, 1);
         assert_eq!(total.thread_panics, 1);
-        assert_eq!(total.batches, 4);
+        assert_eq!(total.batches, 3);
         assert_eq!(
             total.batches,
             total.full_batches + total.deadline_batches + total.idle_batches + total.drain_batches,
@@ -728,7 +723,7 @@ mod tests {
     #[test]
     fn cause_counters_split() {
         let core = StatsCore::new();
-        core.record_batch(1, DispatchCause::Deadline);
+        core.record_batch(1, DispatchCause::Full);
         core.record_batch(3, DispatchCause::Drain);
         core.record_batch(2, DispatchCause::Idle);
         let s = core.snapshot();
@@ -739,7 +734,7 @@ mod tests {
                 s.idle_batches,
                 s.drain_batches
             ),
-            (0, 1, 1, 1)
+            (1, 0, 1, 1)
         );
         assert_eq!(s.batched_requests, 6);
     }

@@ -1,22 +1,20 @@
-//! Worker threads: execute dispatched batches on private engine clones.
+//! Worker threads: take batches from the queue and run them on private
+//! engine clones.
 //!
 //! Each worker holds its own clone of every registered engine (fresh
 //! scratch workspace, no shared mutable state — see
-//! [`crate::EngineRegistry::clone_engines`]) plus two reusable interleave
-//! buffers, so steady-state batch execution allocates only the per-request
-//! output vectors it hands back to callers. A batch of one skips both
-//! buffers: its input is already in the engine's layout, and the engine
-//! writes straight into the vector that becomes the response.
+//! [`crate::EngineRegistry::clone_engines`]), a reused batch buffer and
+//! two reusable interleave buffers, so steady-state batch execution
+//! allocates only the per-request output vectors it hands back to
+//! callers. A batch of one skips the interleave buffers: its input is
+//! already in the engine's layout, and the engine writes straight into
+//! the vector that becomes the response.
 //!
-//! The batch queue receiver sits behind a `Mutex` so the pool shares one
-//! channel: whichever worker is idle grabs the lock, takes the next batch,
-//! and releases the lock *before* executing. Before each fetch a worker
-//! reports itself idle through [`IdleWorkers::worker_ready`], which is
-//! what lets the batcher hand it a partial batch at once instead of
-//! waiting out `max_wait`. Workers exit when the channel disconnects,
-//! which happens exactly when the batcher returns — so shutdown order is:
-//! batcher drains and exits, workers finish the queued batches, pool
-//! joins.
+//! The workers pull from the shared [`Queue`]: each takes the lane whose
+//! head request is oldest, runs it outside the queue's lock, and comes
+//! back; an idle worker spins for the measured cost of a park before it
+//! parks (see the `queue` module). Once the queue is closed the workers
+//! drain it and exit, and shutdown joins them.
 //!
 //! Each worker is a serial executor
 //! ([`tie_tensor::parallel::as_serial_executor`]): the service already
@@ -26,19 +24,19 @@
 //!
 //! A panic inside an engine call is contained to its batch: the batch is
 //! answered with [`ServeError::Engine`], counted in `engine_panics`, and
-//! the worker carries on (so it keeps reporting itself idle). A panic
-//! anywhere else ends the worker thread; its unanswered requests fail as
-//! `ShuttingDown` and shutdown counts the thread in `thread_panics`.
+//! the worker carries on. A panic anywhere else ends the worker thread;
+//! its unanswered requests fail as `ShuttingDown` and shutdown counts the
+//! thread in `thread_panics`. However a worker ends, it retires from the
+//! queue, and the last one out fails whatever is still queued.
 
-use crate::batcher::{Batch, IdleWorkers, Msg};
 use crate::error::ServeError;
-use crate::request::Response;
+use crate::queue::Queue;
+use crate::request::{Request, Response};
 use crate::stats::StatsCore;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tie_core::CompactEngine;
 use tie_sim::{PipelinedEngine, QuantizedEngine};
 use tie_tensor::Result;
@@ -158,36 +156,35 @@ impl WorkerEngine {
     }
 }
 
-/// Worker thread body. `wake` is a sender into the batcher's request
-/// queue, used only for the idle wake-up.
+/// Retires its worker from the queue when dropped, so a worker that
+/// unwinds retires too.
+struct Retire<'a>(&'a Queue);
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        self.0.retire_worker();
+    }
+}
+
+/// Worker thread body: runs batches until the queue is closed and empty.
 pub(crate) fn run_worker(
-    batch_rx: Arc<Mutex<Receiver<Batch>>>,
+    queue: Arc<Queue>,
     engines: HashMap<String, WorkerEngine>,
     stats: Arc<StatsCore>,
-    idle: Arc<IdleWorkers>,
-    wake: SyncSender<Msg>,
 ) {
+    let _retire = Retire(&queue);
     tie_tensor::parallel::as_serial_executor(|| {
+        let mut batch = Vec::new();
         let mut xs: Vec<f64> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
-        loop {
-            idle.worker_ready(&wake);
-            let batch = {
-                let guard = match batch_rx.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                match guard.recv() {
-                    Ok(b) => b,
-                    Err(_) => return, // batcher gone, queue drained
-                }
-            };
-            execute(&engines, &stats, batch, &mut xs, &mut ys);
+        while queue.next_batch(&mut batch) {
+            execute(&engines, &stats, &mut batch, &mut xs, &mut ys);
         }
     });
 }
 
-/// Runs one batch through `matvec_batch_into` and answers every request.
+/// Runs one batch of one layer's requests through `matvec_batch_into`
+/// and answers every request, leaving `batch` empty.
 ///
 /// The inputs are interleaved batch-inner-most (`xs[j * b + c]` is element
 /// `j` of request `c`) to match the engine's batched layout, which keeps
@@ -198,29 +195,30 @@ pub(crate) fn run_worker(
 fn execute(
     engines: &HashMap<String, WorkerEngine>,
     stats: &StatsCore,
-    batch: Batch,
+    batch: &mut Vec<Request>,
     xs: &mut Vec<f64>,
     ys: &mut Vec<f64>,
 ) {
-    let Some(engine) = engines.get(&*batch.layer) else {
+    let Some(engine) = engines.get(&*batch[0].layer) else {
         // Unreachable in practice: clients validate the layer name against
         // the registry before submitting. Answer rather than panic.
-        for req in batch.requests {
-            req.respond(Err(ServeError::UnknownLayer(batch.layer.to_string())));
+        for req in batch.drain(..) {
+            let layer = req.layer.to_string();
+            req.respond(Err(ServeError::UnknownLayer(layer)));
         }
         return;
     };
     let (m, n) = engine.dims();
-    let b = batch.requests.len();
+    let b = batch.len();
 
     let mut single = Vec::new();
     let (input, output): (&[f64], &mut [f64]) = if b == 1 {
         single.resize(m, 0.0);
-        (&batch.requests[0].input, &mut single)
+        (&batch[0].input, &mut single)
     } else {
         xs.clear();
         xs.resize(n * b, 0.0);
-        for (c, req) in batch.requests.iter().enumerate() {
+        for (c, req) in batch.iter().enumerate() {
             for (j, &v) in req.input.iter().enumerate() {
                 xs[j * b + c] = v;
             }
@@ -254,7 +252,7 @@ fn execute(
             }
             let (moved, elided) = engine.traffic_per_sample();
             stats.record_traffic(moved * b as u64, elided * b as u64);
-            for (c, req) in batch.requests.into_iter().enumerate() {
+            for (c, req) in batch.drain(..).enumerate() {
                 #[cfg(test)]
                 assert!(
                     req.input.first() != Some(&ASSEMBLY_PANIC_TRIGGER),
@@ -274,7 +272,7 @@ fn execute(
             }
         }
         Err(err) => {
-            for req in batch.requests {
+            for req in batch.drain(..) {
                 req.respond(Err(err.clone()));
             }
         }
@@ -298,7 +296,6 @@ mod tests {
     use crate::stats::StatsCore;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use std::sync::mpsc::sync_channel;
     use tie_tt::{TtMatrix, TtShape};
 
     fn registry(seed: u64) -> EngineRegistry {
@@ -328,13 +325,15 @@ mod tests {
             requests.push(req);
             tickets.push(ticket);
         }
-        let batch = Batch {
-            layer: "fc".into(),
-            requests,
-        };
-
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
-        execute(&reg.worker_engines(), &stats, batch, &mut xs, &mut ys);
+        execute(
+            &reg.worker_engines(),
+            &stats,
+            &mut requests,
+            &mut xs,
+            &mut ys,
+        );
+        assert!(requests.is_empty());
 
         let m = engine.matrix().shape().num_rows();
         for (input, ticket) in inputs.iter().zip(tickets) {
@@ -371,14 +370,10 @@ mod tests {
         engines.insert("fc".into(), WorkerEngine::Faulty(Box::new(fc)));
         let one = |input: Vec<f64>| {
             let (req, ticket) = Request::new("fc".into(), input, Arc::clone(&stats));
-            let batch = Batch {
-                layer: "fc".into(),
-                requests: vec![req],
-            };
             // Scratch left over from a wider batch must not leak into a
             // batch of one, which uses neither buffer.
             let (mut xs, mut ys) = (vec![f64::NAN; 4 * n], vec![f64::NAN; 4 * m]);
-            execute(&engines, &stats, batch, &mut xs, &mut ys);
+            execute(&engines, &stats, &mut vec![req], &mut xs, &mut ys);
             ticket.wait()
         };
 
@@ -409,14 +404,10 @@ mod tests {
         let reg = registry(8);
         let stats = Arc::new(StatsCore::new());
         let (req, ticket) = Request::new("nope".into(), vec![0.0; 6], Arc::clone(&stats));
-        let batch = Batch {
-            layer: "nope".into(),
-            requests: vec![req],
-        };
         execute(
             &reg.worker_engines(),
             &stats,
-            batch,
+            &mut vec![req],
             &mut Vec::new(),
             &mut Vec::new(),
         );
@@ -425,19 +416,24 @@ mod tests {
     }
 
     #[test]
-    fn worker_exits_on_disconnect() {
+    fn worker_drains_a_closed_queue_exits_and_retires() {
         let reg = registry(9);
-        let (batch_tx, batch_rx) = sync_channel::<Batch>(4);
-        let rx = Arc::new(Mutex::new(batch_rx));
-        let engines = reg.worker_engines();
         let stats = Arc::new(StatsCore::new());
-        let (wake_tx, wake_rx) = sync_channel::<Msg>(1);
-        let handle =
-            std::thread::spawn(move || run_worker(rx, engines, stats, Arc::default(), wake_tx));
-        drop(batch_tx);
-        handle.join().unwrap();
-        // Reporting itself idle, the worker woke the (absent) batcher once.
-        assert!(matches!(wake_rx.try_recv(), Ok(Msg::Wake)));
+        let queue = Arc::new(Queue::new(8, 2, 1, Arc::clone(&stats)));
+        let tickets: Vec<_> = (0..3)
+            .map(|_| {
+                let (req, ticket) = Request::new("fc".into(), vec![0.5; 6], Arc::clone(&stats));
+                queue.push(req, false).unwrap();
+                ticket
+            })
+            .collect();
+        queue.close();
+        run_worker(Arc::clone(&queue), reg.worker_engines(), Arc::clone(&stats));
+        for ticket in tickets {
+            assert!(ticket.wait().is_ok());
+        }
+        let s = stats.snapshot();
+        assert_eq!((s.completed, s.batches, s.drain_batches), (3, 2, 2));
     }
 
     #[test]
@@ -475,14 +471,10 @@ mod tests {
             requests.push(req);
             tickets.push(ticket);
         }
-        let batch = Batch {
-            layer: "pfc".into(),
-            requests,
-        };
         execute(
             &reg.worker_engines(),
             &stats,
-            batch,
+            &mut requests,
             &mut Vec::new(),
             &mut Vec::new(),
         );
@@ -536,14 +528,10 @@ mod tests {
             requests.push(req);
             tickets.push(ticket);
         }
-        let batch = Batch {
-            layer: "qfc".into(),
-            requests,
-        };
         execute(
             &reg.worker_engines(),
             &stats,
-            batch,
+            &mut requests,
             &mut Vec::new(),
             &mut Vec::new(),
         );

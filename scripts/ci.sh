@@ -41,6 +41,17 @@ for suite in differential epilogue_differential pipeline_differential golden pro
   cargo test -q --test "${suite}" "${CARGO_FLAGS[@]}"
 done
 
+# Serving suites in release (DESIGN.md §9): an idle worker's spin-then-
+# park hand-off is timing-dependent, and optimized builds reach the
+# interleavings that debug builds are too slow to hit. Both thread
+# settings, like everything else.
+for suite in serve_stress shard_stress shard_chaos pool_nested_serve; do
+  echo "-- ${suite} --release, TIE_THREADS=1 --"
+  TIE_THREADS=1 cargo test -q --release --test "${suite}" "${CARGO_FLAGS[@]}"
+  echo "-- ${suite} --release, default thread count --"
+  cargo test -q --release --test "${suite}" "${CARGO_FLAGS[@]}"
+done
+
 # Compile-path acceptance (PR 3, DESIGN.md §10.5): VGG-FC6 at paper scale
 # must compile into a registered engine within the wall-clock budget and
 # reproduce the Table 4 compression ratio. Needs --release — the budget is

@@ -19,7 +19,6 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use std::time::Duration;
 use tie::core::CompactEngine;
 use tie::serve::{EngineRegistry, InferenceService, ServeConfig};
 use tie::tensor::{parallel, pool};
@@ -66,7 +65,6 @@ fn serving_under_load_makes_no_pool_dispatch_and_stays_exact() {
         registry,
         ServeConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 128,
             workers: 4,
         },

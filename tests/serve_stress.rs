@@ -1,5 +1,6 @@
 //! Stress suite for the serving layer: many client threads hammering one
-//! service with randomized batching knobs.
+//! service with randomized batching knobs, and sparse arrivals across an
+//! idle worker's spin-then-park hand-off.
 //!
 //! Correctness bar (ISSUE acceptance): no response is lost, duplicated or
 //! cross-wired — every response must be **bit-identical** to a direct
@@ -79,13 +80,12 @@ fn stress_no_lost_duplicated_or_cross_wired_responses() {
     for round in 0..3u64 {
         let config = ServeConfig {
             max_batch: [1usize, 2, 4, 8, 16, 33][cfg_rng.gen_range(0..6usize)],
-            max_wait: Duration::from_micros(cfg_rng.gen_range(0..3000u64)),
             queue_capacity: cfg_rng.gen_range(16..512usize),
             workers: cfg_rng.gen_range(0..5usize),
         };
         eprintln!(
-            "serve_stress round {round}: max_batch={} max_wait={:?} queue={} workers={}",
-            config.max_batch, config.max_wait, config.queue_capacity, config.workers
+            "serve_stress round {round}: max_batch={} queue={} workers={}",
+            config.max_batch, config.queue_capacity, config.workers
         );
 
         let mut registry = EngineRegistry::new();
@@ -184,7 +184,6 @@ fn stress_shutdown_under_load_drains_cleanly() {
     }
     let config = ServeConfig {
         max_batch: 8,
-        max_wait: Duration::from_micros(500),
         queue_capacity: 64,
         workers: 2,
     };
@@ -254,7 +253,67 @@ fn stress_shutdown_under_load_drains_cleanly() {
         stats.full_batches + stats.deadline_batches + stats.idle_batches + stats.drain_batches,
         "every batch has exactly one dispatch cause"
     );
-    // The batcher drains whatever was queued: batched_requests covers all
+    // The workers drain whatever was queued: batched_requests covers all
     // requests that reached a batch; the remainder failed at teardown.
     assert!(stats.completed >= total_ok);
+}
+
+/// Sparse arrivals across the spin-then-park hand-off: two clients each
+/// send one request at a time after a seeded pause of 0–500 µs, so
+/// requests land before, during and after an idle worker's spin budget
+/// (the measured cost of a park), at one and two workers. A request that
+/// a lost wake-up stranded would miss its 5 s wait.
+#[test]
+fn stress_sparse_arrivals_cross_the_spin_park_handoff() {
+    const SPARSE_CLIENTS: usize = 2;
+    const SPARSE_REQUESTS: usize = 150;
+    let seed = suite_seed().wrapping_add(0x5B1);
+    let layers = layers(seed);
+    for workers in [1usize, 2] {
+        let mut registry = EngineRegistry::new();
+        for (name, engine) in &layers {
+            registry.insert_shared(*name, Arc::clone(engine));
+        }
+        let config = ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        };
+        let service = InferenceService::start(registry, config).unwrap();
+        let handles: Vec<_> = (0..SPARSE_CLIENTS)
+            .map(|t| {
+                let client = service.client();
+                let layers = layers.clone();
+                let mut pauses = ChaCha8Rng::seed_from_u64(seed ^ (workers * 16 + t) as u64);
+                std::thread::spawn(move || {
+                    for i in 0..SPARSE_REQUESTS {
+                        std::thread::sleep(Duration::from_micros(pauses.gen_range(0..=500u64)));
+                        let nonce = (t * SPARSE_REQUESTS + i) as u64;
+                        let (name, engine) = &layers[nonce as usize % layers.len()];
+                        let x = input_for(nonce, engine.matrix().shape().num_cols(), seed);
+                        let resp = client
+                            .submit(name, x.clone())
+                            .unwrap()
+                            .wait_timeout(Duration::from_secs(5))
+                            .unwrap_or_else(|e| panic!("workers={workers} nonce {nonce}: {e}"));
+                        let want = direct_eval(engine, &x);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&resp.output), bits(&want), "nonce {nonce}");
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.submitted, (SPARSE_CLIENTS * SPARSE_REQUESTS) as u64);
+        assert_eq!(stats.completed, stats.submitted, "workers={workers}");
+        assert_eq!(stats.failed, 0);
+        assert_eq!(stats.batched_requests, stats.submitted);
+        assert_eq!(
+            stats.batches,
+            stats.full_batches + stats.deadline_batches + stats.idle_batches + stats.drain_batches,
+            "every batch has exactly one dispatch cause"
+        );
+    }
 }

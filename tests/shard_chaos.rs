@@ -107,7 +107,6 @@ fn chaos_round(seed: u64, pool: usize) {
         vnodes: 64,
         replica: ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 64,
             workers: 1,
         },
@@ -324,7 +323,6 @@ fn lifecycle_under_load(seed: u64) {
         replicas: 2,
         replica: ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 64,
             workers: 2,
         },

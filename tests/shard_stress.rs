@@ -99,12 +99,11 @@ fn run_round(seed: u64, round: u64, config: ShardConfig) {
     let ring = HashRing::new(config.shards, config.vnodes).unwrap();
     let layers = layers_covering_all_shards(seed.wrapping_add(round), &ring);
     eprintln!(
-        "shard_stress round {round}: shards={} replicas={} max_batch={} max_wait={:?} \
+        "shard_stress round {round}: shards={} replicas={} max_batch={} \
          queue={} workers={} layers={}",
         config.shards,
         config.replicas,
         config.replica.max_batch,
-        config.replica.max_wait,
         config.replica.queue_capacity,
         config.replica.workers,
         layers.len()
@@ -244,7 +243,7 @@ fn run_round(seed: u64, round: u64, config: ShardConfig) {
     assert_eq!(summed.latency_ns_sum, global.latency_ns_sum);
 }
 
-/// Every batch leaves the batcher for exactly one reason.
+/// Every batch leaves the queue for exactly one reason.
 fn assert_dispatch_causes_reconcile(s: &tie::serve::ServiceStats, view: &str) {
     assert_eq!(
         s.batches,
@@ -272,7 +271,6 @@ fn stress_sharded_thousands_in_flight_bit_identical() {
                 vnodes: 64,
                 replica: ServeConfig {
                     max_batch,
-                    max_wait: Duration::from_micros(cfg_rng.gen_range(0..2000u64)),
                     queue_capacity: cfg_rng.gen_range(128..512usize),
                     workers: cfg_rng.gen_range(1..4usize),
                 },
