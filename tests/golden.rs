@@ -349,3 +349,106 @@ fn golden_shard_map_table4() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden compile fixture: the TT-SVD's compiled cores, bit for bit. Each
+// pinned layer is a small seeded planted-TT dense matrix whose first
+// unfolding takes one route of `SvdMethod::Auto` (rank cap 4, so a short
+// side of at least 24 counts as rank-capped). The kernels under the
+// TT-SVD (Gram, `matmul_tn`, the one-sided Jacobi, the fused-tensor build)
+// may be rewritten for speed only if every core keeps its bits.
+// ---------------------------------------------------------------------------
+
+/// A pinned compile: (route, seed, row modes, col modes). Rank cap 4.
+type CompileCase = (&'static str, u64, Vec<usize>, Vec<usize>);
+
+const COMPILE_RANK: usize = 4;
+
+fn compile_cases() -> Vec<CompileCase> {
+    vec![
+        // 30 × 1280: wide Gram, a row count that is not a multiple of 4
+        // and a column count that ends in a partial 512-column block.
+        ("wide_gram", 31, vec![5, 4, 4], vec![6, 8, 10]),
+        // 560 × 30: tall Gram (`AᵀA` by `matmul_tn`).
+        ("tall_gram", 32, vec![35, 5], vec![16, 6]),
+        // 270 × 300: short side above 256, rank-capped, wide sketch.
+        ("randomized_wide", 33, vec![15, 15], vec![18, 20]),
+        // 300 × 270: the tall sketch.
+        ("randomized_tall", 34, vec![15, 15], vec![20, 18]),
+        // 8 × 72: below 2¹⁴ elements, exact Jacobi.
+        ("small_jacobi", 35, vec![2, 3, 4], vec![4, 3, 2]),
+    ]
+}
+
+fn compile_fixture_value() -> Value {
+    use tie::tensor::linalg::SvdMethod;
+    let layers: Vec<Value> = compile_cases()
+        .into_iter()
+        .map(|(route, seed, m, n)| {
+            let shape = TtShape::uniform_rank(m.clone(), n.clone(), COMPILE_RANK).unwrap();
+            let w = tie::workloads::synthetic_layer_weights(&shape, 1e-4, seed).unwrap();
+            let ttm = TtMatrix::from_dense_with(
+                &w,
+                &m,
+                &n,
+                Truncation::rank(COMPILE_RANK),
+                SvdMethod::default(),
+            )
+            .unwrap();
+            let cores: Vec<Value> = ttm
+                .cores()
+                .iter()
+                .map(|c| {
+                    let bits = c
+                        .data()
+                        .iter()
+                        .map(|v| Value::String(format!("{:016x}", v.to_bits())))
+                        .collect();
+                    Value::Object(vec![
+                        ("dims".into(), usizes_to_value(c.dims())),
+                        ("bits".into(), Value::Array(bits)),
+                    ])
+                })
+                .collect();
+            Value::Object(vec![
+                ("route".into(), Value::String(route.into())),
+                ("seed".into(), Value::UInt(seed)),
+                ("row_modes".into(), usizes_to_value(&m)),
+                ("col_modes".into(), usizes_to_value(&n)),
+                ("rank".into(), Value::UInt(COMPILE_RANK as u64)),
+                ("cores".into(), Value::Array(cores)),
+            ])
+        })
+        .collect();
+    Value::Object(vec![("layers".into(), Value::Array(layers))])
+}
+
+/// Regenerate `golden_compile.json` after an *intentional* change to the
+/// TT-SVD's numerics.
+#[test]
+#[ignore = "writes tests/fixtures/; run only after an intentional TT-SVD numerics change"]
+fn regenerate_compile_fixture() {
+    std::fs::create_dir_all(fixture_path("x").parent().unwrap()).unwrap();
+    let text = serde_json::to_string_pretty(&compile_fixture_value()).unwrap();
+    std::fs::write(fixture_path("compile"), text + "\n").unwrap();
+}
+
+#[test]
+fn golden_compile_cores_are_bit_identical() {
+    let path = fixture_path("compile");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    let fixture: Value = serde_json::from_str(&text).unwrap();
+    let stored = fixture.get("layers").expect("layers").as_array().unwrap();
+    let fresh = compile_fixture_value();
+    let fresh = fresh.get("layers").unwrap().as_array().unwrap();
+    assert_eq!(stored.len(), compile_cases().len(), "every route is pinned");
+    for (want, got) in stored.iter().zip(fresh) {
+        let route = want.get("route").expect("route").as_str().unwrap();
+        assert_eq!(
+            serde_json::to_string_pretty(want).unwrap(),
+            serde_json::to_string_pretty(got).unwrap(),
+            "{route}: compiled cores drifted from the committed fixture"
+        );
+    }
+}
