@@ -1,6 +1,6 @@
 use crate::{decompose::tt_svd_owned, TtShape, TtTensor};
 use tie_tensor::linalg::{SvdMethod, Truncation};
-use tie_tensor::{Result, Scalar, Tensor, TensorError};
+use tie_tensor::{parallel, Result, Scalar, Tensor, TensorError};
 
 use rand::Rng;
 
@@ -296,7 +296,8 @@ impl<T: Scalar> TtMatrix<T> {
 /// lookup tables `contrib[k][l_k] = i_k·(row stride)·cols + j_k·(col
 /// stride)` — the source offset is just their sum — walked with an
 /// incremental odometer, so the 10⁸-element fused tensors of the paper's
-/// FC layers build in a single cheap streaming pass.
+/// FC layers build in one streaming pass, split into row slabs on the
+/// pool.
 fn build_fused_tensor<T: Scalar>(
     w: &Tensor<T>,
     row_modes: &[usize],
@@ -328,34 +329,35 @@ fn build_fused_tensor<T: Scalar>(
         .collect();
     let total: usize = fused_modes.iter().product();
     let src = w.data();
-    let mut data = Vec::with_capacity(total);
     let last = &contrib[d - 1];
-    let mut digits = vec![0usize; d.saturating_sub(1)];
-    // Base offset contributed by the (fixed within the inner loop) prefix
-    // digits; updated incrementally as the odometer advances.
-    let mut base = 0usize;
-    loop {
-        for &c in last {
-            data.push(src[base + c]);
-        }
-        // Advance the prefix odometer (digits over modes 0..d-1).
-        let mut k = d.wrapping_sub(2);
-        loop {
-            if k == usize::MAX {
-                // Carried past the most significant digit: done.
-                debug_assert_eq!(data.len(), total);
-                return Tensor::from_vec(fused_modes, data);
+    let rows = total / last.len().max(1);
+    let mut data = vec![T::ZERO; total];
+    // Rows of the last mode are filled in parallel slabs: a pure copy, and
+    // the page faults of the fresh buffer are most of its cost.
+    let threads = parallel::threads_for(total, rows);
+    parallel::for_each_row_slab(&mut data, rows, last.len(), threads, |row0, slab| {
+        // Prefix digits (modes 0..d-1) of the slab's first row, and the
+        // base offset they contribute; the odometer then advances them
+        // incrementally.
+        let mut digits = decompose_index(row0, &fused_modes[..d - 1]);
+        let mut base: usize = digits.iter().zip(&contrib).map(|(&l, c)| c[l]).sum();
+        for row in slab.chunks_exact_mut(last.len()) {
+            for (o, &c) in row.iter_mut().zip(last) {
+                *o = src[base + c];
             }
-            base -= contrib[k][digits[k]];
-            digits[k] += 1;
-            if digits[k] < fused_modes[k] {
-                base += contrib[k][digits[k]];
-                break;
+            for k in (0..d - 1).rev() {
+                base -= contrib[k][digits[k]];
+                digits[k] += 1;
+                if digits[k] < fused_modes[k] {
+                    base += contrib[k][digits[k]];
+                    break;
+                }
+                // `contrib[k][0]` is 0.
+                digits[k] = 0;
             }
-            digits[k] = 0;
-            k = k.wrapping_sub(1);
         }
-    }
+    });
+    Tensor::from_vec(fused_modes, data)
 }
 
 /// Splits a flat row-major index into per-mode digits (`i_1` first).
