@@ -52,6 +52,17 @@ for suite in serve_stress shard_stress shard_chaos pool_nested_serve; do
   cargo test -q --release --test "${suite}" "${CARGO_FLAGS[@]}"
 done
 
+# TT-SVD kernel bit-identity in release (DESIGN.md §10.1): optimized
+# builds vectorize the register-tiled Gram, Aᵀ·B and Jacobi kernels
+# differently from debug ones, so the golden compile fixture and the
+# kernel differentials also run with --release, at both thread settings.
+echo "== tier-2: golden compile + kernel differentials --release, TIE_THREADS=1 =="
+TIE_THREADS=1 cargo test -q --release --test golden "${CARGO_FLAGS[@]}" golden_compile
+TIE_THREADS=1 cargo test -q --release -p tie-tensor --lib "${CARGO_FLAGS[@]}" differential_
+echo "== tier-2: golden compile + kernel differentials --release, default thread count =="
+cargo test -q --release --test golden "${CARGO_FLAGS[@]}" golden_compile
+cargo test -q --release -p tie-tensor --lib "${CARGO_FLAGS[@]}" differential_
+
 # Compile-path acceptance (PR 3, DESIGN.md §10.5): VGG-FC6 at paper scale
 # must compile into a registered engine within the wall-clock budget and
 # reproduce the Table 4 compression ratio. Needs --release — the budget is
