@@ -6,7 +6,8 @@
 //! the right factor carries on.
 
 use crate::TtTensor;
-use tie_tensor::linalg::{truncated_svd_with, SvdMethod, Truncation};
+use tie_tensor::linalg::{truncated_svd_of, truncated_svd_with, SvdMethod, Truncation};
+use tie_tensor::tile::{ColumnBlocks, Dense};
 use tie_tensor::{Result, Scalar, Tensor};
 
 /// Decomposes a dense tensor into TT format.
@@ -62,41 +63,45 @@ pub fn tt_svd_with<T: Scalar>(
     trunc: Truncation,
     method: SvdMethod,
 ) -> Result<TtTensor<T>> {
-    tt_svd_owned(tensor.clone(), trunc, method)
+    let modes = tensor.dims();
+    let rest = modes[1..].iter().product();
+    tt_svd_from(
+        &Dense::new(tensor.data(), modes[0], rest),
+        modes,
+        trunc,
+        method,
+    )
 }
 
-/// [`tt_svd_with`] taking the tensor by value.
+/// The TT-SVD sweep over a tensor with the given `modes`, whose first
+/// unfolding (`modes[0] × ∏ modes[1..]`) is read through `first`.
 ///
-/// The sweep only ever *reshapes* the remainder between SVDs, which is a
-/// metadata change on a row-major tensor — owning the input lets every
-/// step run copy-free where the borrowed entry points must clone.  For a
-/// paper-scale FC layer (822 MB dense) that removes several full-buffer
-/// memcpys from the compile path; callers that already own the tensor
-/// (e.g. `TtMatrix::from_dense`, which builds the fused tensor itself)
-/// should prefer this entry point.
-///
-/// # Errors
-///
-/// Propagates SVD convergence failures and shape errors from the substrate.
-pub fn tt_svd_owned<T: Scalar>(
-    tensor: Tensor<T>,
+/// The first step takes its SVD straight from the source
+/// ([`truncated_svd_of`]): on the wide Gram route it reads the source one
+/// column block at a time, and no copy of the tensor is made. Every later
+/// remainder is the owned `S·Vᵀ` buffer of the step before, and the sweep
+/// only ever reshapes it, a metadata change on a row-major tensor.
+pub(crate) fn tt_svd_from<T: Scalar, S: ColumnBlocks<T>>(
+    first: &S,
+    modes: &[usize],
     trunc: Truncation,
     method: SvdMethod,
 ) -> Result<TtTensor<T>> {
-    let modes = tensor.dims().to_vec();
     let d = modes.len();
     let mut cores = Vec::with_capacity(d);
-    // C is the remainder matrix, (r_{k-1} * n_k) × (rest) at step k.
-    // All reshapes below are in-place metadata changes, never copies.
-    let mut c = tensor;
+    // C is the remainder matrix, (r_{k-1} * n_k) × (rest) at step k; the
+    // first step reads `first` instead.
+    let mut c: Option<Tensor<T>> = None;
     let mut r_prev = 1usize;
-    for (k, &nk) in modes.iter().enumerate().take(d - 1) {
-        let rest = c.num_elements() / (r_prev * nk);
-        c.reshape(vec![r_prev * nk, rest])?;
-        let svd = truncated_svd_with(&c, trunc, method)?;
+    for k in 0..d - 1 {
+        let svd = match &c {
+            None => truncated_svd_of(first, trunc, method)?,
+            Some(c) => truncated_svd_with(c, trunc, method)?,
+        };
+        let rest: usize = modes[k + 1..].iter().product();
         let rk = svd.s.len();
         let mut u = svd.u;
-        u.reshape(vec![r_prev, nk, rk])?;
+        u.reshape(vec![r_prev, modes[k], rk])?;
         cores.push(u);
         // C ← diag(S) · Vᵀ  (rk × rest)
         let mut sv = svd.vt;
@@ -110,10 +115,11 @@ pub fn tt_svd_owned<T: Scalar>(
         // dimension of the next unfolding.
         let next_n = modes[k + 1];
         sv.reshape(vec![rk * next_n, rest / next_n])?;
-        c = sv;
+        c = Some(sv);
         r_prev = rk;
     }
     // Last core is the remainder itself.
+    let mut c = c.unwrap_or_else(|| first.gathered());
     c.reshape(vec![r_prev, modes[d - 1], 1])?;
     cores.push(c);
     TtTensor::new(cores)

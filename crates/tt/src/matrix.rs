@@ -1,6 +1,7 @@
-use crate::{decompose::tt_svd_owned, TtShape, TtTensor};
+use crate::{decompose::tt_svd_from, TtShape, TtTensor};
 use tie_tensor::linalg::{SvdMethod, Truncation};
-use tie_tensor::{parallel, Result, Scalar, Tensor, TensorError};
+use tie_tensor::tile::ColumnBlocks;
+use tie_tensor::{Result, Scalar, Tensor, TensorError};
 
 use rand::Rng;
 
@@ -18,9 +19,10 @@ use rand::Rng;
 /// `i = Σ_k i_k ∏_{t>k} m_t`, `j = Σ_k j_k ∏_{t>k} n_t`.
 ///
 /// The decomposition of a dense matrix follows Novikov et al. (NIPS '15):
-/// reshape `W` into the `d`-mode tensor with fused modes `l_k = i_k n_k +
-/// j_k`, TT-decompose that tensor, and split each fused mode back into
-/// `(m_k, n_k)`.
+/// TT-decompose `W` as the `d`-mode tensor with fused modes `l_k = i_k n_k
+/// + j_k`, and split each fused mode back into `(m_k, n_k)`. That tensor
+/// is only a permutation of `W`, so it is never stored: the TT-SVD reads
+/// `W` through the fused-mode index map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TtMatrix<T: Scalar> {
     shape: TtShape,
@@ -110,6 +112,13 @@ impl<T: Scalar> TtMatrix<T> {
     /// the randomized path makes paper-scale layers — VGG FC6 is
     /// 25088×4096 — compile in seconds).
     ///
+    /// The first TT-SVD step reads `w` through the fused-mode index map
+    /// ([`tie_tensor::linalg::truncated_svd_of`]). On the wide Gram route,
+    /// which every Table 4 layer's first step takes, its Gram matrix and
+    /// projection gather each 512-column block of the fused tensor's
+    /// first unfolding straight from `w`, so the largest buffer the
+    /// compile allocates is that step's `Vᵀ` (`r_1 × N·M / (m_1 n_1)`).
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if the factorizations do not
@@ -133,8 +142,13 @@ impl<T: Scalar> TtMatrix<T> {
                 ),
             });
         }
-        let b = build_fused_tensor(w, row_modes, col_modes)?;
-        let tt = tt_svd_owned(b, trunc, method)?;
+        let fused_modes: Vec<usize> = row_modes
+            .iter()
+            .zip(col_modes)
+            .map(|(&m, &n)| m * n)
+            .collect();
+        let first = FusedUnfolding::new(w.data(), row_modes, col_modes);
+        let tt = tt_svd_from(&first, &fused_modes, trunc, method)?;
         let cores = tt
             .into_cores()
             .into_iter()
@@ -287,77 +301,106 @@ impl<T: Scalar> TtMatrix<T> {
     }
 }
 
-/// Builds the Novikov fused tensor `B(l_1, …, l_d)` with `l_k = i_k·n_k +
-/// j_k` from the dense matrix `w`.
+/// The first unfolding of the Novikov fused tensor `B(l_1, …, l_d)`,
+/// `l_k = i_k·n_k + j_k`, read straight from the row-major dense `w`.
 ///
-/// This is a pure data permutation: element `(l_1, …, l_d)` of `B` is
-/// `W(i, j)` with `i = Σ i_k ∏_{t>k} m_t`, `j = Σ j_k ∏_{t>k} n_t`. The
-/// per-element div/mod chain of the naive gather is replaced by per-mode
-/// lookup tables `contrib[k][l_k] = i_k·(row stride)·cols + j_k·(col
-/// stride)` — the source offset is just their sum — walked with an
-/// incremental odometer, so the 10⁸-element fused tensors of the paper's
-/// FC layers build in one streaming pass, split into row slabs on the
-/// pool.
-fn build_fused_tensor<T: Scalar>(
-    w: &Tensor<T>,
-    row_modes: &[usize],
-    col_modes: &[usize],
-) -> Result<Tensor<T>> {
-    let cols = w.ncols()?;
-    let d = row_modes.len();
-    let fused_modes: Vec<usize> = row_modes
-        .iter()
-        .zip(col_modes)
-        .map(|(&m, &n)| m * n)
-        .collect();
-    // Row-major strides of the row/column digit positions in the flat
-    // source offset i*cols + j.
-    let mut row_stride = vec![1usize; d];
-    let mut col_stride = vec![1usize; d];
-    for k in (0..d.saturating_sub(1)).rev() {
-        row_stride[k] = row_stride[k + 1] * row_modes[k + 1];
-        col_stride[k] = col_stride[k + 1] * col_modes[k + 1];
+/// `B` is a pure permutation of `W`: element `(l_1, …, l_d)` is `W(i, j)`
+/// with `i = Σ i_k ∏_{t>k} m_t`, `j = Σ j_k ∏_{t>k} n_t`. Its first
+/// unfolding has rows `l_1` and columns `(l_2, …, l_d)` row-major. The
+/// source offset of an element is a sum of per-mode lookup tables,
+/// `contrib[k][l_k] = i_k·(row stride)·cols + j_k·(col stride)`, so a
+/// column block is gathered with no div/mod per element: an incremental
+/// odometer over the middle modes walks the block in runs of the last
+/// mode, and each run reads `w` through the last mode's table. Each
+/// gathered block holds the values the stored fused tensor held, in the
+/// same order.
+struct FusedUnfolding<'a, T> {
+    w: &'a [T],
+    /// `contrib[0]`: the source offset of each row `l_1`.
+    rows: Vec<usize>,
+    /// Sizes of the fused modes `2 .. d-1`, the odometer's digits.
+    mid_modes: Vec<usize>,
+    /// `contrib[1 .. d-1]`.
+    mid: Vec<Vec<usize>>,
+    /// `contrib[d-1]`, or `[0]` for a single-mode matrix (one column).
+    last: Vec<usize>,
+}
+
+impl<'a, T: Scalar> FusedUnfolding<'a, T> {
+    /// The map for a row-major `w` of `∏ row_modes × ∏ col_modes`.
+    fn new(w: &'a [T], row_modes: &[usize], col_modes: &[usize]) -> Self {
+        let d = row_modes.len();
+        let cols: usize = col_modes.iter().product();
+        // Row-major strides of the row/column digit positions in the flat
+        // source offset i*cols + j.
+        let mut row_stride = vec![1usize; d];
+        let mut col_stride = vec![1usize; d];
+        for k in (0..d.saturating_sub(1)).rev() {
+            row_stride[k] = row_stride[k + 1] * row_modes[k + 1];
+            col_stride[k] = col_stride[k + 1] * col_modes[k + 1];
+        }
+        let mut contrib: Vec<Vec<usize>> = (0..d)
+            .map(|k| {
+                (0..row_modes[k] * col_modes[k])
+                    .map(|l| {
+                        (l / col_modes[k]) * row_stride[k] * cols
+                            + (l % col_modes[k]) * col_stride[k]
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows = contrib.remove(0);
+        let last = contrib.pop().unwrap_or_else(|| vec![0]);
+        FusedUnfolding {
+            w,
+            rows,
+            mid_modes: contrib.iter().map(Vec::len).collect(),
+            mid: contrib,
+            last,
+        }
     }
-    let contrib: Vec<Vec<usize>> = (0..d)
-        .map(|k| {
-            (0..fused_modes[k])
-                .map(|l| {
-                    (l / col_modes[k]) * row_stride[k] * cols + (l % col_modes[k]) * col_stride[k]
-                })
-                .collect()
-        })
-        .collect();
-    let total: usize = fused_modes.iter().product();
-    let src = w.data();
-    let last = &contrib[d - 1];
-    let rows = total / last.len().max(1);
-    let mut data = vec![T::ZERO; total];
-    // Rows of the last mode are filled in parallel slabs: a pure copy, and
-    // the page faults of the fresh buffer are most of its cost.
-    let threads = parallel::threads_for(total, rows);
-    parallel::for_each_row_slab(&mut data, rows, last.len(), threads, |row0, slab| {
-        // Prefix digits (modes 0..d-1) of the slab's first row, and the
-        // base offset they contribute; the odometer then advances them
-        // incrementally.
-        let mut digits = decompose_index(row0, &fused_modes[..d - 1]);
-        let mut base: usize = digits.iter().zip(&contrib).map(|(&l, c)| c[l]).sum();
-        for row in slab.chunks_exact_mut(last.len()) {
-            for (o, &c) in row.iter_mut().zip(last) {
-                *o = src[base + c];
+}
+
+impl<T: Scalar> ColumnBlocks<T> for FusedUnfolding<'_, T> {
+    fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn cols(&self) -> usize {
+        self.mid_modes.iter().product::<usize>() * self.last.len()
+    }
+
+    fn block<'s>(&'s self, j0: usize, len: usize, scratch: &'s mut Vec<T>) -> (&'s [T], usize) {
+        scratch.resize(self.rows.len() * len, T::ZERO);
+        let (w, last) = (self.w, &self.last);
+        // Middle-mode digits of column `j0`, and the offset they
+        // contribute; the odometer then advances them run by run.
+        let mut digits = decompose_index(j0 / last.len(), &self.mid_modes);
+        let mut base: usize = digits.iter().zip(&self.mid).map(|(&l, c)| c[l]).sum();
+        let (mut x, mut l0) = (0, j0 % last.len());
+        while x < len {
+            let run = &last[l0..(l0 + len - x).min(last.len())];
+            for (&row, out) in self.rows.iter().zip(scratch.chunks_exact_mut(len)) {
+                let src = row + base;
+                for (o, &c) in out[x..x + run.len()].iter_mut().zip(run) {
+                    *o = w[src + c];
+                }
             }
-            for k in (0..d - 1).rev() {
-                base -= contrib[k][digits[k]];
+            x += run.len();
+            l0 = 0;
+            for k in (0..digits.len()).rev() {
+                base -= self.mid[k][digits[k]];
                 digits[k] += 1;
-                if digits[k] < fused_modes[k] {
-                    base += contrib[k][digits[k]];
+                if digits[k] < self.mid_modes[k] {
+                    base += self.mid[k][digits[k]];
                     break;
                 }
                 // `contrib[k][0]` is 0.
                 digits[k] = 0;
             }
         }
-    });
-    Tensor::from_vec(fused_modes, data)
+        (scratch, len)
+    }
 }
 
 /// Splits a flat row-major index into per-mode digits (`i_1` first).
@@ -501,30 +544,68 @@ mod tests {
         assert!(tt.to_dense().unwrap().approx_eq(&w, 1e-10));
     }
 
+    /// The fused tensor's first unfolding by the naive div/mod gather.
+    fn naive_unfolding(w: &Tensor<f64>, row_modes: &[usize], col_modes: &[usize]) -> Vec<f64> {
+        let cols = w.ncols().unwrap();
+        let fused: Vec<usize> = row_modes
+            .iter()
+            .zip(col_modes)
+            .map(|(&m, &n)| m * n)
+            .collect();
+        let total: usize = fused.iter().product();
+        (0..total)
+            .map(|off| {
+                let l = decompose_index(off, &fused);
+                let mut i = 0usize;
+                let mut j = 0usize;
+                for k in 0..l.len() {
+                    i = i * row_modes[k] + l[k] / col_modes[k];
+                    j = j * col_modes[k] + l[k] % col_modes[k];
+                }
+                w.data()[i * cols + j]
+            })
+            .collect()
+    }
+
     #[test]
-    fn fused_tensor_build_matches_naive_gather() {
+    fn differential_fused_unfolding_blocks_match_naive_gather() {
         let mut rng = ChaCha8Rng::seed_from_u64(35);
-        // Asymmetric modes so row/column stride bugs can't cancel out.
-        let (row_modes, col_modes) = (vec![2usize, 3, 2], vec![3usize, 2, 4]);
-        let rows: usize = row_modes.iter().product();
-        let cols: usize = col_modes.iter().product();
-        let w: Tensor<f64> = init::uniform(&mut rng, vec![rows, cols], 1.0);
-        let fast = build_fused_tensor(&w, &row_modes, &col_modes).unwrap();
-        let d = row_modes.len();
-        let naive = Tensor::from_fn(fast.dims().to_vec(), |l| {
-            let mut i = 0usize;
-            let mut j = 0usize;
-            for k in 0..d {
-                i = i * row_modes[k] + l[k] / col_modes[k];
-                j = j * col_modes[k] + l[k] % col_modes[k];
+        // Asymmetric modes so row/column stride bugs can't cancel out, unit
+        // modes, one to five modes (the single-mode case is one column of
+        // the flattened matrix).
+        for (row_modes, col_modes) in [
+            (vec![2usize, 3, 2], vec![3usize, 2, 4]),
+            (vec![3, 2, 5, 2], vec![2, 5, 3, 2]),
+            (vec![2, 3, 2, 2, 3], vec![3, 2, 2, 3, 2]),
+            (vec![2, 1, 3], vec![1, 4, 1]),
+            (vec![4, 3], vec![5, 7]),
+            (vec![6], vec![5]),
+        ] {
+            let rows: usize = row_modes.iter().product();
+            let cols: usize = col_modes.iter().product();
+            let w: Tensor<f64> = init::uniform(&mut rng, vec![rows, cols], 1.0);
+            let src = FusedUnfolding::new(w.data(), &row_modes, &col_modes);
+            let (m, n) = (src.rows(), src.cols());
+            assert_eq!(m * n, rows * cols);
+            let naive = naive_unfolding(&w, &row_modes, &col_modes);
+            // Blocks of every width from every start, so runs of the last
+            // mode begin and end mid-block and the last block is partial.
+            for width in [1, 3, 7, 16, 512] {
+                let mut scratch = Vec::new();
+                for j0 in (0..n).step_by(width) {
+                    let len = width.min(n - j0);
+                    let (view, stride) = src.block(j0, len, &mut scratch);
+                    for r in 0..m {
+                        assert_eq!(
+                            &view[r * stride..][..len],
+                            &naive[r * n + j0..][..len],
+                            "{row_modes:?}x{col_modes:?} block {j0}+{len} row {r}"
+                        );
+                    }
+                }
             }
-            w.data()[i * cols + j]
-        })
-        .unwrap();
-        assert_eq!(fast.data(), naive.data());
-        // Single-mode degenerate case: fused tensor is the flattened matrix.
-        let flat = build_fused_tensor(&w, &[rows], &[cols]).unwrap();
-        assert_eq!(flat.data(), w.data());
+            assert_eq!(src.gathered().data(), &naive[..]);
+        }
     }
 
     #[test]

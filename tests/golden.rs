@@ -353,10 +353,12 @@ fn golden_shard_map_table4() {
 // ---------------------------------------------------------------------------
 // Golden compile fixture: the TT-SVD's compiled cores, bit for bit. Each
 // pinned layer is a small seeded planted-TT dense matrix whose first
-// unfolding takes one route of `SvdMethod::Auto` (rank cap 4, so a short
-// side of at least 24 counts as rank-capped). The kernels under the
-// TT-SVD (Gram, `matmul_tn`, the one-sided Jacobi, the fused-tensor build)
-// may be rewritten for speed only if every core keeps its bits.
+// unfolding (of the fused-mode tensor, read from `w` through the index
+// map) takes one route of `SvdMethod::Auto` (rank cap 4, so a short side
+// of at least 24 counts as rank-capped). The kernels under the TT-SVD
+// (the fused-unfolding gather, the Gram and its projection, `matmul_tn`,
+// the one-sided Jacobi) may be rewritten for speed only if every core
+// keeps its bits.
 // ---------------------------------------------------------------------------
 
 /// A pinned compile: (route, seed, row modes, col modes). Rank cap 4.
