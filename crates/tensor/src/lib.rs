@@ -47,9 +47,10 @@
 // construction), so the stores are in-bounds and disjoint across the
 // row-partitioned workers. (4) The same lifetime-erased job handoff, in
 // barrier form, for the dedicated stage-pipeline threads in `pipeline`.
-// (5) The per-span row-slab carving in `tile`'s k-blocked and Gram
-// stages — `from_raw_parts_mut` over disjoint row spans handed out by
-// the global driver's partition.
+// (5) The per-span carving in `tile`'s k-blocked stages, the Gram
+// route's column-block projection among them — `from_raw_parts_mut`
+// over disjoint row or column spans handed out by the global driver's
+// partition.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
