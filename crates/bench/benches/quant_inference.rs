@@ -9,11 +9,8 @@
 //!   saturation reports are asserted bit-identical before any timing, so
 //!   a speedup can never come from computing different bits.
 //! * **Simulated batch rows** — Table 4 FC layers on the cycle-accurate
-//!   [`TieAccelerator`], batch 16: the seed path (per-batch float-trace
-//!   calibration + MAC-by-MAC PE-array walk, `run_batch_walk`) against
-//!   the fast path (one-shot load-time calibration + one `qmatmul` stage
-//!   GEMM per batch). Both report identical cycle/activity stats by
-//!   construction (the differential suite proves it); the rows measure
+//!   [`TieAccelerator`], batch 16, on the fast path (one-shot load-time
+//!   calibration + one `qmatmul` stage GEMM per batch). The rows measure
 //!   the *host* simulation throughput.
 //!
 //! Writes `BENCH_quant.json` at the repository root.
@@ -26,7 +23,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tie_bench::report::{fnum, Report};
 use tie_quant::{qmatmul, qmatmul_naive, QFormat, QTensor};
-use tie_sim::{CalibrationMode, QuantConfig, TieAccelerator, TieConfig};
+use tie_sim::{TieAccelerator, TieConfig};
 use tie_tensor::{init, Tensor};
 use tie_tt::TtMatrix;
 use tie_workloads::benchmarks::table4_benchmarks;
@@ -39,7 +36,6 @@ const KERNEL_SHAPES: [(usize, usize, usize); 4] = [
 ];
 const KERNEL_REPS: usize = 30;
 const BATCH: usize = 16;
-const WALK_REPS: usize = 3;
 const FAST_REPS: usize = 30;
 
 fn median_secs(mut samples: Vec<f64>) -> f64 {
@@ -85,12 +81,9 @@ fn measure_kernel(m: usize, k: usize, n: usize) -> (f64, f64) {
     (median_secs(fast) * 1e3, median_secs(naive) * 1e3)
 }
 
-/// Simulated batch-16 throughput of one Table 4 layer, before vs after.
-///
-/// *Before*: per-batch calibration + the MAC-walk executor (the seed
-/// behavior). *After*: one-shot calibration + the batched stage-GEMM fast
-/// path (the default). Returns `(before, after)` in samples/second.
-fn measure_sim(name: &str) -> (f64, f64) {
+/// Simulated batch-16 throughput of one Table 4 layer on the one-shot
+/// calibrated, batched stage-GEMM fast path, in samples/second.
+fn measure_sim(name: &str) -> f64 {
     let bench = table4_benchmarks()
         .into_iter()
         .find(|b| b.name == name)
@@ -101,45 +94,22 @@ fn measure_sim(name: &str) -> (f64, f64) {
     let xs: Tensor<f64> = init::uniform(&mut rng, vec![n, BATCH], 1.0);
 
     // Table 5's 384 KB working SRAMs hold one sample's intermediates, not
-    // 16: scale them up identically on both sides so the batch fits —
-    // memory provisioning, not datapath, and common to before/after.
-    let base_cfg = TieConfig {
+    // 16: scale them up so the batch fits — memory provisioning, not
+    // datapath.
+    let cfg = TieConfig {
         working_sram_bytes: 8 * 1024 * 1024,
         ..TieConfig::default()
     };
-    let before_cfg = TieConfig {
-        quant: QuantConfig {
-            calibration: CalibrationMode::PerBatch,
-            ..QuantConfig::default()
-        },
-        ..base_cfg
-    };
-    let mut before_tie = TieAccelerator::new(before_cfg).unwrap();
-    let before_layer = before_tie.load_layer(matrix.clone()).unwrap();
-    let mut before = Vec::with_capacity(WALK_REPS);
-    for _ in 0..WALK_REPS {
-        let t = Instant::now();
-        let (ys, _) = before_tie
-            .run_batch_walk(&before_layer, &xs, false)
-            .unwrap();
-        before.push(t.elapsed().as_secs_f64());
-        assert!(ys.data().iter().all(|v| v.is_finite()));
-    }
-
-    let mut after_tie = TieAccelerator::new(base_cfg).unwrap();
-    let after_layer = after_tie.load_layer(matrix).unwrap();
-    let mut after = Vec::with_capacity(FAST_REPS);
+    let mut tie = TieAccelerator::new(cfg).unwrap();
+    let layer = tie.load_layer(matrix).unwrap();
+    let mut samples = Vec::with_capacity(FAST_REPS);
     for _ in 0..FAST_REPS {
         let t = Instant::now();
-        let (ys, _) = after_tie.run_batch(&after_layer, &xs, false).unwrap();
-        after.push(t.elapsed().as_secs_f64());
+        let (ys, _) = tie.run_batch(&layer, &xs, false).unwrap();
+        samples.push(t.elapsed().as_secs_f64());
         assert!(ys.data().iter().all(|v| v.is_finite()));
     }
-
-    (
-        BATCH as f64 / median_secs(before),
-        BATCH as f64 / median_secs(after),
-    )
+    BATCH as f64 / median_secs(samples)
 }
 
 fn bench(c: &mut Criterion) {
@@ -165,12 +135,10 @@ fn bench(c: &mut Criterion) {
 fn write_json() {
     let mut report = Report::new(
         "BENCH_quant",
-        "Quantized path: SIMD kernel vs naive, one-shot + batched sim vs seed path",
-        "not a paper figure — acceptance evidence for the quantized-path PR \
-         (vectorized qmatmul must beat the naive reference bit-identically; \
-         one-shot calibration + batched stage GEMMs must lift simulated \
-         FC batch-16 throughput at least 4x over the per-batch-calibrated \
-         MAC-walk seed path)",
+        "Quantized path: SIMD kernel vs naive, one-shot + batched sim throughput",
+        "not a paper figure — the vectorized qmatmul must beat the naive \
+         reference bit-identically; the sim rows record simulated FC \
+         batch-16 throughput on the one-shot + batched stage-GEMM path",
     );
     report.headers(["workload", "before", "after", "speedup", "unit"]);
 
@@ -185,31 +153,22 @@ fn write_json() {
         ]);
     }
     for name in ["VGG-FC7", "VGG-FC6"] {
-        let (before_sps, after_sps) = measure_sim(name);
         report.row([
             format!("{name} sim batch-{BATCH}"),
-            fnum(before_sps),
-            fnum(after_sps),
-            fnum(after_sps / before_sps),
-            "samples/s (seed -> fast path)".to_string(),
+            "-".to_string(),
+            fnum(measure_sim(name)),
+            "-".to_string(),
+            "samples/s (fast path)".to_string(),
         ]);
     }
 
     report.note(format!(
         "kernel rows: medians of {KERNEL_REPS} reps (naive capped at 8), codes \
          and saturation reports asserted bit-identical before timing; sim \
-         rows: medians of {WALK_REPS} walk / {FAST_REPS} fast reps, batch \
-         {BATCH}, random Table 4 layers at unit-amplitude inputs; working \
-         SRAMs scaled to 8 MB on BOTH sides so batch-{BATCH} intermediates \
-         fit (memory provisioning, identical before/after)"
+         rows: medians of {FAST_REPS} reps, batch {BATCH}, random Table 4 \
+         layers at unit-amplitude inputs, working SRAMs scaled to 8 MB so \
+         batch-{BATCH} intermediates fit (memory provisioning)"
     ));
-    report.note(
-        "before = CalibrationMode::PerBatch + run_batch_walk (the seed \
-         behavior: float traces every batch, MAC-by-MAC PE walk); after = \
-         CalibrationMode::OneShot + run_batch (load-time probe calibration, \
-         one qmatmul stage GEMM per batch); both produce identical RunStats \
-         activity counts (differential suite)",
-    );
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     report.save_json(&root).expect("write BENCH_quant.json");
     println!("{report}");

@@ -8,7 +8,7 @@ use crate::transform::{
 use std::sync::Mutex;
 use tie_tensor::linalg::{gemm_into, gemm_into_mapped, DestMap};
 use tie_tensor::tile::Activation;
-use tie_tensor::{Result, Scalar, Tensor, TensorError};
+use tie_tensor::{max_abs, Result, Scalar, Tensor, TensorError};
 use tie_tt::inference::OpCount;
 use tie_tt::TtMatrix;
 
@@ -253,7 +253,7 @@ impl<T: Scalar> CompactEngine<T> {
             });
         }
         let mut y = Tensor::zeros(vec![self.matrix.shape().num_rows()]);
-        let count = self.run_batched(x.data(), 1, y.data_mut())?;
+        let count = self.run_batched(x.data(), 1, y.data_mut(), None)?;
         Ok((y, count))
     }
 
@@ -283,13 +283,52 @@ impl<T: Scalar> CompactEngine<T> {
                 right: vec![m],
             });
         }
-        self.run_batched(x, 1, y)
+        self.run_batched(x, 1, y, None)
+    }
+
+    /// Batch-1 product `y = W x` on the fused pipeline that also records
+    /// the max|·| of every intermediate — the probe pass of one-shot
+    /// activation calibration.
+    ///
+    /// `maxima` holds `d + 1` running maxima: `maxima[0]` is raised to
+    /// the max|·| of the prepared input `X'`, and `maxima[1 + s]` to that
+    /// of stage `s`'s output `V_h` (execution order, `h = d … 1`), so one
+    /// slice folds a whole probe set. Each value is read from the buffer
+    /// the stage just wrote. That buffer is a bijection of `V_h`, so the
+    /// maximum has the same bits as the one read from
+    /// [`CompactEngine::matvec_traced`]'s [`StageTrace`].
+    ///
+    /// `y` receives the linear product: the engine's fused bias and
+    /// activation are not applied, so the final stage's maximum is taken
+    /// before any epilogue, as in the trace. Allocation-free once the
+    /// workspace has grown.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `x` is not `N` elements,
+    /// `y` is not `M` elements or `maxima` is not `d + 1` elements.
+    pub fn matvec_max_abs_into(&self, x: &[T], y: &mut [T], maxima: &mut [f64]) -> Result<OpCount> {
+        let shape = self.matrix.shape();
+        for (got, want) in [
+            (x.len(), shape.num_cols()),
+            (y.len(), shape.num_rows()),
+            (maxima.len(), shape.ndim() + 1),
+        ] {
+            if got != want {
+                return Err(TensorError::ShapeMismatch {
+                    left: vec![got],
+                    right: vec![want],
+                });
+            }
+        }
+        self.run_batched(x, 1, y, Some(maxima))
     }
 
     /// Like [`CompactEngine::matvec`] but also returns every intermediate
-    /// matrix — used by the cycle-accurate simulator's functional
-    /// cross-checks. The intermediates are cloned out of the workspace
-    /// (the only path that clones; the untraced paths never do).
+    /// matrix. Kept as the test oracle of
+    /// [`CompactEngine::matvec_max_abs_into`] and of the simulator's
+    /// functional cross-checks: it runs the cold gather pipeline and
+    /// clones each intermediate out of it.
     ///
     /// # Errors
     ///
@@ -334,7 +373,7 @@ impl<T: Scalar> CompactEngine<T> {
         }
         let b = xs.ncols()?; // ≥ 1: zero-sized tensors are unrepresentable
         let mut out = Tensor::zeros(vec![m, b]);
-        let count = self.run_batched(xs.data(), b, out.data_mut())?;
+        let count = self.run_batched(xs.data(), b, out.data_mut(), None)?;
         Ok((out, count))
     }
 
@@ -367,7 +406,7 @@ impl<T: Scalar> CompactEngine<T> {
             // No columns: no stages run, no weights streamed.
             return Ok(OpCount::default());
         }
-        self.run_batched(xs, b, ys)
+        self.run_batched(xs, b, ys, None)
     }
 
     /// The legacy gather-table pipeline, kept as the **differential
@@ -432,7 +471,17 @@ impl<T: Scalar> CompactEngine<T> {
     /// composed Transform map, scattering each output straight into
     /// `V'_h` layout (or, for the final stage, straight into `ys` in
     /// assembled order). No permutation pass, no transform intermediate.
-    fn run_batched(&self, xs: &[T], b: usize, ys: &mut [T]) -> Result<OpCount> {
+    ///
+    /// With `maxima` (see [`CompactEngine::matvec_max_abs_into`]) each
+    /// written buffer is scanned for its max|·| and the final stage runs
+    /// without the bias and activation epilogue.
+    fn run_batched(
+        &self,
+        xs: &[T],
+        b: usize,
+        ys: &mut [T],
+        mut maxima: Option<&mut [f64]>,
+    ) -> Result<OpCount> {
         debug_assert!(b > 0);
         let shape = self.matrix.shape();
         let d = shape.ndim();
@@ -454,6 +503,9 @@ impl<T: Scalar> CompactEngine<T> {
         let (mut cur, mut nxt) = (&mut ws.ping, &mut ws.pong);
         // Prepare the input (Eqn. (8)): minimal contiguous block copies.
         self.prep_plan.apply_batched(xs, cur, b);
+        if let Some(m) = maxima.as_deref_mut() {
+            m[0] = m[0].max(max_abs(&cur[..xs.len()]));
+        }
         for (idx, h) in (1..=d).rev().enumerate() {
             let stage = &self.plan.stages()[idx];
             let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
@@ -464,6 +516,8 @@ impl<T: Scalar> CompactEngine<T> {
             // store — one store per element either way.
             let (out, bias, act) = if h >= 2 {
                 (&mut nxt[..rows * cols * b], None, Activation::Identity)
+            } else if maxima.is_some() {
+                (&mut *ys, None, Activation::Identity)
             } else {
                 (&mut *ys, self.bias.as_deref(), self.activation)
             };
@@ -479,6 +533,9 @@ impl<T: Scalar> CompactEngine<T> {
                 bias,
                 act,
             )?;
+            if let Some(m) = maxima.as_deref_mut() {
+                m[idx + 1] = m[idx + 1].max(max_abs(out));
+            }
             std::mem::swap(&mut cur, &mut nxt);
             // Arithmetic scales with the batch; each core is streamed from
             // weight memory once per stage and reused across all B columns
@@ -715,6 +772,45 @@ mod tests {
         // Trace is consistent with the untraced result.
         let (y2, _) = engine.matvec(&x).unwrap();
         assert!(y.approx_eq(&y2, 0.0));
+    }
+
+    /// The fused max|·| pass against the traced oracle on an engine that
+    /// carries a bias and a ReLU: the maxima match bit for bit, the final
+    /// one taken before the epilogue, and `y` is the linear product.
+    #[test]
+    fn max_abs_pass_matches_the_trace_before_the_epilogue() {
+        let (linear, _, x) = random_case(72, vec![2, 3, 2], vec![2, 2, 3], 2);
+        let m = linear.matrix().shape().num_rows();
+        let bias: Vec<f64> = (0..m).map(|i| i as f64 - 5.5).collect();
+        let engine = linear
+            .clone()
+            .with_bias(bias)
+            .unwrap()
+            .with_activation(Activation::Relu);
+        let (_, trace) = engine.matvec_traced(&x).unwrap();
+        let mut want = vec![trace.prepared_input.max_abs()];
+        want.extend(trace.stage_outputs.iter().map(Tensor::max_abs));
+        let mut maxima = vec![0.0f64; 4];
+        let mut y = vec![0.0f64; m];
+        engine
+            .matvec_max_abs_into(x.data(), &mut y, &mut maxima)
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&maxima), bits(&want));
+        let (y_linear, _) = linear.matvec(&x).unwrap();
+        assert_eq!(bits(&y), bits(y_linear.data()));
+        // Running maxima: a second, smaller probe leaves them unchanged.
+        let half = x.map(|v| v * 0.5);
+        engine
+            .matvec_max_abs_into(half.data(), &mut y, &mut maxima)
+            .unwrap();
+        assert_eq!(bits(&maxima), bits(&want));
+        assert!(engine
+            .matvec_max_abs_into(x.data(), &mut y, &mut maxima[..3])
+            .is_err());
+        assert!(engine
+            .matvec_max_abs_into(x.data(), &mut y[..m - 1], &mut maxima)
+            .is_err());
     }
 
     #[test]

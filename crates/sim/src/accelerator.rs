@@ -1,7 +1,7 @@
 //! The full TIE engine: main controller, weight SRAM, ping-pong working
 //! SRAMs and the PE array (paper Fig. 8).
 
-use crate::config::{CalibrationMode, TieConfig};
+use crate::config::TieConfig;
 use crate::pe_array::{PeArray, StageOutcome};
 use crate::sram::{WeightSram, WorkingSram};
 use crate::stats::{RunStats, StageStats};
@@ -10,7 +10,7 @@ use tie_core::transform::{assemble_output, prepare_input, TransformMap};
 use tie_core::{Activation, CompactEngine, InferencePlan};
 use tie_quant::{qmatmul_raw_mapped, QFormat, QTensor};
 use tie_tensor::linalg::DestMap;
-use tie_tensor::{Result, Tensor, TensorError};
+use tie_tensor::{parallel, Result, Tensor, TensorError};
 use tie_tt::{TtMatrix, TtShape};
 
 /// The fused fast path's destination map for one stage over the batched
@@ -39,10 +39,10 @@ fn batched_stage_dest_map(shape: &TtShape, h: usize, batch: usize) -> Result<Des
 /// Deterministic probe generator for one-shot calibration (xorshift64 —
 /// self-contained so calibration needs no RNG dependency and the probe
 /// set is a pure function of `QuantConfig::probe_seed`).
-struct ProbeRng(u64);
+pub(crate) struct ProbeRng(u64);
 
 impl ProbeRng {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         // xorshift has a fixed point at 0; mixing with an odd constant
         // keeps every seed (including 0) on a full-period orbit.
         ProbeRng(seed ^ 0x9e37_79b9_7f4a_7c15)
@@ -56,11 +56,12 @@ impl ProbeRng {
         ((self.0 >> 11) as f64) * (2.0 / (1u64 << 53) as f64) - 1.0
     }
 
-    fn vector(&mut self, len: usize, amplitude: f64) -> Result<Tensor<f64>> {
-        Tensor::from_vec(
-            vec![len],
-            (0..len).map(|_| amplitude * self.next_unit()).collect(),
-        )
+    /// Draws the next probe into `out`: components uniform in
+    /// `[-amplitude, amplitude)`.
+    pub(crate) fn fill(&mut self, out: &mut [f64], amplitude: f64) {
+        for v in out {
+            *v = amplitude * self.next_unit();
+        }
     }
 }
 
@@ -73,32 +74,54 @@ pub(crate) fn probe_vectors(
     amplitude: f64,
 ) -> Result<Vec<Tensor<f64>>> {
     let mut rng = ProbeRng::new(seed);
-    (0..count).map(|_| rng.vector(len, amplitude)).collect()
+    (0..count)
+        .map(|_| {
+            let mut v = vec![0.0f64; len];
+            rng.fill(&mut v, amplitude);
+            Tensor::from_vec(vec![len], v)
+        })
+        .collect()
 }
 
-/// Traces `probes` through the float reference engine, returning
-/// `(input_max, stage_max, probe_outputs)`. The outputs let network loads
-/// propagate the probe set layer to layer, so deeper layers calibrate at
-/// realistic amplitudes. Outputs are propagated *linearly* (no ReLU):
-/// ReLU only shrinks magnitudes, so the resulting formats cover both the
-/// linear and the rectified runtime paths.
+/// Runs `count` probes through the float reference engine's fused
+/// batch-1 pipeline and returns `(input_max, stage_max)`: the max|·| of
+/// the prepared input and of every stage output (plan order) over the
+/// probe set.
+///
+/// `fill(i, x)` writes probe `i` into one input buffer reused across the
+/// probes. When `outputs` is given, probe `i`'s output lands in
+/// `outputs[i·M..(i+1)·M]`: network loads chain them into the next layer,
+/// so deeper layers calibrate at realistic amplitudes. Outputs are
+/// propagated *linearly* (no ReLU): ReLU only shrinks magnitudes, so the
+/// resulting formats cover both the linear and the rectified runtime
+/// paths.
+///
+/// The probes run at width 1: a batch-1 stage GEMM loses more to pool
+/// dispatch than a second core saves.
 pub(crate) fn probe_maxima(
     engine: &CompactEngine<f64>,
-    probes: &[Tensor<f64>],
-) -> Result<(f64, Vec<f64>, Vec<Tensor<f64>>)> {
-    let d = engine.plan().stages().len();
-    let mut input_max = 0.0f64;
-    let mut stage_max = vec![0.0f64; d];
-    let mut outputs = Vec::with_capacity(probes.len());
-    for p in probes {
-        let (y, trace) = engine.matvec_traced(p)?;
-        input_max = input_max.max(trace.prepared_input.max_abs());
-        for (sm, out) in stage_max.iter_mut().zip(&trace.stage_outputs) {
-            *sm = sm.max(out.max_abs());
+    count: usize,
+    mut fill: impl FnMut(usize, &mut [f64]),
+    mut outputs: Option<&mut [f64]>,
+) -> Result<(f64, Vec<f64>)> {
+    let shape = engine.matrix().shape();
+    let (n, m) = (shape.num_cols(), shape.num_rows());
+    let mut maxima = vec![0.0f64; shape.ndim() + 1];
+    let mut x = vec![0.0f64; n];
+    let mut y = vec![0.0f64; m];
+    parallel::as_serial_executor(|| {
+        for i in 0..count {
+            fill(i, &mut x);
+            let out = match outputs.as_deref_mut() {
+                Some(all) => &mut all[i * m..(i + 1) * m],
+                None => &mut y[..],
+            };
+            engine.matvec_max_abs_into(&x, out, &mut maxima)?;
         }
-        outputs.push(y);
-    }
-    Ok((input_max, stage_max, outputs))
+        Ok(())
+    })?;
+    let input_max = maxima.remove(0);
+    Ok((input_max, maxima))
 }
 
 /// A TT layer resident in the accelerator's weight SRAM.
@@ -114,7 +137,7 @@ pub struct LoadedLayer {
     weight_formats: Vec<QFormat>,
     engine: CompactEngine<f64>,
     /// Prepared-input format chosen at load time (probe calibration, or
-    /// the configured fallback when calibration is off / per-batch).
+    /// the configured fallback when calibration is off).
     input_format: QFormat,
     /// Per-stage `V_h` output formats, in plan-stage order.
     stage_formats: Vec<QFormat>,
@@ -216,9 +239,9 @@ pub struct TieAccelerator {
     pe: PeArray,
     weight_sram: WeightSram,
     working: [WorkingSram; 2],
-    /// Float reference traces performed for activation calibration
-    /// (probe traces at load time + per-batch refresh traces). Lets
-    /// tests assert that steady-state `run_batch` does zero float work.
+    /// Float reference probe passes performed for activation calibration,
+    /// all at load time. Lets tests assert that steady-state `run_batch`
+    /// does zero float work.
     calibration_traces: u64,
 }
 
@@ -252,55 +275,57 @@ impl TieAccelerator {
         self.weight_sram.used_elems()
     }
 
-    /// Float reference traces performed for activation calibration since
-    /// construction. With the default [`CalibrationMode::OneShot`] this
-    /// grows only at `load_layer` / `load_network` time (probe set); with
-    /// [`CalibrationMode::PerBatch`] it also grows by up to 8 per batch.
+    /// Float reference probe passes performed for activation calibration
+    /// since construction. It grows only at `load_layer` / `load_network`
+    /// time, by the probe count per layer.
     pub fn calibration_traces(&self) -> u64 {
         self.calibration_traces
     }
 
-    /// Chooses an activation format from a traced max-abs, falling back
-    /// to the configured `activation_format`.
-    fn select_format(&self, max_abs: f64, margin: f64) -> QFormat {
-        if self.config.quant.calibrate_activations && max_abs > 0.0 {
-            QFormat::calibrate(max_abs * margin).unwrap_or(self.config.quant.activation_format)
+    /// Chooses an activation format from a probe max-abs widened by
+    /// `probe_margin`, falling back to the configured `activation_format`.
+    fn select_format(&self, max_abs: f64) -> QFormat {
+        let q = &self.config.quant;
+        if q.calibrate_activations && max_abs > 0.0 {
+            QFormat::calibrate(max_abs * q.probe_margin).unwrap_or(q.activation_format)
         } else {
-            self.config.quant.activation_format
+            q.activation_format
         }
     }
 
-    /// Whether load-time probe calibration is active.
-    fn one_shot(&self) -> bool {
-        self.config.quant.calibrate_activations
-            && self.config.quant.calibration == CalibrationMode::OneShot
-            && self.config.quant.probe_count > 0
+    /// Probes run per layer by load-time calibration (0 when activation
+    /// calibration is off).
+    fn probe_count(&self) -> usize {
+        let q = &self.config.quant;
+        if q.calibrate_activations {
+            q.probe_count
+        } else {
+            0
+        }
     }
 
     /// Derives the memoized load-time formats for one layer: probe
-    /// calibration under [`CalibrationMode::OneShot`], the configured
-    /// fallback otherwise. Returns the layer's calibration fields plus
-    /// the probe outputs (empty when probes were skipped).
-    #[allow(clippy::type_complexity)]
+    /// calibration over [`TieAccelerator::probe_count`] probes drawn by
+    /// `fill` (see [`probe_maxima`], which also writes `outputs`), the
+    /// configured fallback when there are none. Returns the layer's
+    /// calibration fields.
     fn calibrate_layer(
         &mut self,
         engine: &CompactEngine<f64>,
-        probes: &[Tensor<f64>],
-    ) -> Result<(QFormat, Vec<QFormat>, f64, Vec<f64>, Vec<Tensor<f64>>)> {
+        fill: impl FnMut(usize, &mut [f64]),
+        outputs: Option<&mut [f64]>,
+    ) -> Result<(QFormat, Vec<QFormat>, f64, Vec<f64>)> {
         let d = engine.plan().stages().len();
-        let (input_max, stage_max, outputs) = if self.one_shot() {
-            self.calibration_traces += probes.len() as u64;
-            probe_maxima(engine, probes)?
+        let count = self.probe_count();
+        let (input_max, stage_max) = if count > 0 {
+            self.calibration_traces += count as u64;
+            probe_maxima(engine, count, fill, outputs)?
         } else {
-            (0.0, vec![0.0f64; d], Vec::new())
+            (0.0, vec![0.0f64; d])
         };
-        let margin = self.config.quant.probe_margin;
-        let input_format = self.select_format(input_max, margin);
-        let stage_formats = stage_max
-            .iter()
-            .map(|&m| self.select_format(m, margin))
-            .collect();
-        Ok((input_format, stage_formats, input_max, stage_max, outputs))
+        let input_format = self.select_format(input_max);
+        let stage_formats = stage_max.iter().map(|&m| self.select_format(m)).collect();
+        Ok((input_format, stage_formats, input_max, stage_max))
     }
 
     /// Quantizes and loads one TT layer into the weight SRAM (replacing
@@ -340,19 +365,10 @@ impl TieAccelerator {
         // formats are fixed here, so steady-state runs do zero float
         // reference work and batched runs are bit-identical to the same
         // samples run one at a time.
-        let probes = if self.one_shot() {
-            let q = &self.config.quant;
-            probe_vectors(
-                q.probe_seed,
-                q.probe_count,
-                shape.num_cols(),
-                q.probe_amplitude,
-            )?
-        } else {
-            Vec::new()
-        };
-        let (input_format, stage_formats, input_max, stage_max, _) =
-            self.calibrate_layer(&engine, &probes)?;
+        let amplitude = self.config.quant.probe_amplitude;
+        let mut rng = ProbeRng::new(self.config.quant.probe_seed);
+        let (input_format, stage_formats, input_max, stage_max) =
+            self.calibrate_layer(&engine, |_, x| rng.fill(x, amplitude), None)?;
         self.weight_sram.load(quantized)?;
         Ok(LoadedLayer {
             shape,
@@ -456,45 +472,6 @@ impl TieAccelerator {
         self.run_batch_inner(layer, xs, relu, core_base, false)
     }
 
-    /// Activation formats for one batch: the memoized load-time formats
-    /// under [`CalibrationMode::OneShot`] (zero float work), or a fresh
-    /// float-trace refresh over up to 8 samples under
-    /// [`CalibrationMode::PerBatch`].
-    fn formats_for_batch(
-        &mut self,
-        layer: &LoadedLayer,
-        xs: &Tensor<f64>,
-        batch: usize,
-    ) -> Result<(QFormat, Vec<QFormat>)> {
-        let quant = self.config.quant;
-        if !(quant.calibrate_activations && quant.calibration == CalibrationMode::PerBatch) {
-            return Ok((layer.input_format, layer.stage_formats.clone()));
-        }
-        let d = layer.shape.ndim();
-        let n = layer.shape.num_cols();
-        // The format must cover every sample; tracing is capped at 8
-        // samples with extra headroom standing in for the rest.
-        let traced = batch.min(8);
-        let mut input_max = 0.0f64;
-        let mut stage_max = vec![0.0f64; d];
-        for b in 0..traced {
-            let col = xs.cols(b, b + 1)?.reshaped(vec![n])?;
-            let (_, trace) = layer.engine.matvec_traced(&col)?;
-            self.calibration_traces += 1;
-            input_max = input_max.max(trace.prepared_input.max_abs());
-            for (sm, out) in stage_max.iter_mut().zip(&trace.stage_outputs) {
-                *sm = sm.max(out.max_abs());
-            }
-        }
-        let margin = if traced < batch { 1.25 } else { 1.05 };
-        let input_format = self.select_format(input_max, margin);
-        let stage_formats = stage_max
-            .iter()
-            .map(|&m| self.select_format(m, margin))
-            .collect();
-        Ok((input_format, stage_formats))
-    }
-
     #[allow(clippy::too_many_lines)]
     fn run_batch_inner(
         &mut self,
@@ -514,7 +491,7 @@ impl TieAccelerator {
             });
         }
         let batch = xs.dims()[1];
-        let (input_format, stage_formats) = self.formats_for_batch(layer, xs, batch)?;
+        let input_format = layer.input_format;
 
         // Stage the prepared inputs block-wise (sample-major columns) in
         // working SRAM 0.
@@ -546,7 +523,7 @@ impl TieAccelerator {
             // Fixed-point alignment for this stage.
             let w_frac = layer.weight_formats[h - 1].frac_bits();
             let prod_frac = w_frac + in_format.frac_bits();
-            let mut out_format = stage_formats[idx];
+            let mut out_format = layer.stage_formats[idx];
             if out_format.frac_bits() > prod_frac {
                 out_format = QFormat::new(prod_frac.min(15))?;
             }
@@ -807,19 +784,12 @@ impl TieAccelerator {
         let mut all_cores = Vec::new();
         let mut base = 0usize;
         // One-shot calibration probes chain through the stack: layer i+1
-        // is calibrated on layer i's probe outputs, so every layer sees
-        // realistic input amplitudes.
-        let mut probes = if self.one_shot() {
-            let q = &self.config.quant;
-            probe_vectors(
-                q.probe_seed,
-                q.probe_count,
-                matrices[0].shape().num_cols(),
-                q.probe_amplitude,
-            )?
-        } else {
-            Vec::new()
-        };
+        // is calibrated on layer i's probe outputs (`count × N`, probe-
+        // major), so every layer sees realistic input amplitudes.
+        let amplitude = self.config.quant.probe_amplitude;
+        let count = self.probe_count();
+        let mut rng = ProbeRng::new(self.config.quant.probe_seed);
+        let mut chained: Option<Vec<f64>> = None;
         for matrix in matrices {
             let shape = matrix.shape().clone();
             let plan = InferencePlan::new(&shape)?;
@@ -843,9 +813,16 @@ impl TieAccelerator {
                 formats.push(q.format());
                 all_cores.push(q);
             }
-            let (input_format, stage_formats, input_max, stage_max, probe_outputs) =
-                self.calibrate_layer(&engine, &probes)?;
-            probes = probe_outputs;
+            let n = shape.num_cols();
+            let mut outputs = vec![0.0f64; count * shape.num_rows()];
+            let inputs = chained.take();
+            let fill = |i: usize, x: &mut [f64]| match &inputs {
+                Some(prev) => x.copy_from_slice(&prev[i * n..(i + 1) * n]),
+                None => rng.fill(x, amplitude),
+            };
+            let (input_format, stage_formats, input_max, stage_max) =
+                self.calibrate_layer(&engine, fill, Some(&mut outputs))?;
+            chained = Some(outputs);
             bases.push(base);
             base += shape.ndim();
             layers.push(LoadedLayer {
@@ -906,6 +883,7 @@ impl TieAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{QuantConfig, QuantizedEngine};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use tie_quant::error_stats;
@@ -1198,5 +1176,209 @@ mod tests {
             frac < 0.05,
             "bank conflicts should be rare: {frac:.3} of cycles"
         );
+    }
+
+    // ---- Calibration differential: the fused probe pass against the
+    // traced oracle (`CompactEngine::matvec_traced` on the materialized
+    // probe set, the derivation calibration used before the fused pass).
+
+    /// Traced oracle: `(input_max, stage_max, outputs)` over `probes`.
+    fn traced_maxima(
+        engine: &CompactEngine<f64>,
+        probes: &[Tensor<f64>],
+    ) -> (f64, Vec<f64>, Vec<Tensor<f64>>) {
+        let mut input_max = 0.0f64;
+        let mut stage_max = vec![0.0f64; engine.plan().stages().len()];
+        let mut outputs = Vec::new();
+        for p in probes {
+            let (y, trace) = engine.matvec_traced(p).unwrap();
+            input_max = input_max.max(trace.prepared_input.max_abs());
+            for (sm, out) in stage_max.iter_mut().zip(&trace.stage_outputs) {
+                *sm = sm.max(out.max_abs());
+            }
+            outputs.push(y);
+        }
+        (input_max, stage_max, outputs)
+    }
+
+    /// The activation format a probe maximum selects (fallback at 0).
+    fn oracle_format(quant: &QuantConfig, max_abs: f64) -> QFormat {
+        if quant.calibrate_activations && max_abs > 0.0 {
+            QFormat::calibrate(max_abs * quant.probe_margin).unwrap_or(quant.activation_format)
+        } else {
+            quant.activation_format
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The four Table 4 layouts plus degenerate ones: `d = 1`, unit row
+    /// and column modes, rank 1, and all-zero cores (the fallback
+    /// formats).
+    fn calibration_layers() -> Vec<(&'static str, TtMatrix<f64>)> {
+        let shape = |m: Vec<usize>, n: Vec<usize>, r| TtShape::uniform_rank(m, n, r).unwrap();
+        let mut layers: Vec<(&'static str, TtMatrix<f64>)> = [
+            ("VGG-FC6", shape(vec![4; 6], vec![2, 7, 8, 8, 7, 4], 4)),
+            ("VGG-FC7", shape(vec![4; 6], vec![4; 6], 4)),
+            ("LSTM-UCF11", shape(vec![4; 4], vec![8, 20, 20, 18], 4)),
+            ("LSTM-Youtube", shape(vec![4; 4], vec![4, 20, 20, 36], 4)),
+            ("d=1", shape(vec![6], vec![9], 1)),
+            ("unit modes", shape(vec![1, 3, 1], vec![2, 1, 1], 2)),
+            ("rank 1", shape(vec![3, 2, 4], vec![2, 5, 3], 1)),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, s))| (name, random_layer(260 + i as u64, &s)))
+        .collect();
+        let zeros = TtMatrix::new(vec![
+            Tensor::<f64>::zeros(vec![1, 2, 3, 2]),
+            Tensor::<f64>::zeros(vec![2, 2, 3, 1]),
+        ])
+        .unwrap();
+        layers.push(("all-zero cores", zeros));
+        layers
+    }
+
+    /// `probe_maxima` returns the traced maxima and outputs bit for bit,
+    /// whether its probes come from the generator or a copied set, at
+    /// probe counts 0, 1 and the default 8.
+    #[test]
+    fn differential_calibration_probe_maxima_matches_traced_oracle() {
+        let quant = QuantConfig::default();
+        for (name, matrix) in calibration_layers() {
+            let engine = CompactEngine::new(matrix).unwrap();
+            let (n, m) = (
+                engine.matrix().shape().num_cols(),
+                engine.matrix().shape().num_rows(),
+            );
+            for count in [0, 1, quant.probe_count] {
+                let probes =
+                    probe_vectors(quant.probe_seed, count, n, quant.probe_amplitude).unwrap();
+                let (want_in, want_st, want_out) = traced_maxima(&engine, &probes);
+                let mut outputs = vec![0.0f64; count * m];
+                let copy = |i: usize, x: &mut [f64]| x.copy_from_slice(probes[i].data());
+                let (got_in, got_st) =
+                    probe_maxima(&engine, count, copy, Some(&mut outputs)).unwrap();
+                assert_eq!(got_in.to_bits(), want_in.to_bits(), "{name} x{count}");
+                assert_eq!(bits(&got_st), bits(&want_st), "{name} x{count}");
+                let want_flat: Vec<f64> = want_out.iter().flat_map(|y| y.data().to_vec()).collect();
+                assert_eq!(bits(&outputs), bits(&want_flat), "{name} x{count}");
+                let mut rng = ProbeRng::new(quant.probe_seed);
+                let draw = |_: usize, x: &mut [f64]| rng.fill(x, quant.probe_amplitude);
+                let (drawn_in, drawn_st) = probe_maxima(&engine, count, draw, None).unwrap();
+                assert_eq!(drawn_in.to_bits(), want_in.to_bits(), "{name} x{count}");
+                assert_eq!(bits(&drawn_st), bits(&want_st), "{name} x{count}");
+            }
+        }
+    }
+
+    /// `QuantizedEngine::new` picks the formats the traced derivation
+    /// picks: the probe maxima's formats, then the alignment clamp.
+    #[test]
+    fn differential_calibration_quantized_engine_formats_match_traced_oracle() {
+        for (name, matrix) in calibration_layers() {
+            for count in [0, 1, 8] {
+                let quant = QuantConfig {
+                    probe_count: count,
+                    ..QuantConfig::default()
+                };
+                let engine = QuantizedEngine::new(matrix.clone(), quant).unwrap();
+                let reference = CompactEngine::new(matrix.clone()).unwrap();
+                let n = reference.matrix().shape().num_cols();
+                let probes =
+                    probe_vectors(quant.probe_seed, count, n, quant.probe_amplitude).unwrap();
+                let (input_max, stage_max, _) = traced_maxima(&reference, &probes);
+                let input_format = oracle_format(&quant, input_max);
+                let mut in_frac = input_format.frac_bits();
+                let mut stage_formats = Vec::new();
+                for (stage, &m) in reference.plan().stages().iter().zip(&stage_max) {
+                    let g = &reference.unfolded_cores()[stage.h - 1];
+                    let w_frac = if g.max_abs() > 0.0 {
+                        QTensor::quantize_calibrated(g).unwrap().format()
+                    } else {
+                        quant.weight_format
+                    }
+                    .frac_bits();
+                    let mut f = oracle_format(&quant, m);
+                    if f.frac_bits() > w_frac + in_frac {
+                        f = QFormat::new((w_frac + in_frac).min(15)).unwrap();
+                    }
+                    stage_formats.push(f);
+                    in_frac = f.frac_bits();
+                }
+                assert_eq!(engine.input_format(), input_format, "{name} x{count}");
+                assert_eq!(
+                    engine.stage_formats(),
+                    &stage_formats[..],
+                    "{name} x{count}"
+                );
+            }
+        }
+    }
+
+    /// `load_layer` memoizes the traced maxima and formats, and
+    /// `load_network` chains the traced probe outputs: each layer of a
+    /// VGG-FC6 → FC7 stack and of a stack through degenerate layouts
+    /// holds the maxima and formats of the traced chain, and the fused
+    /// chain's probe outputs equal the traced ones at every layer.
+    #[test]
+    fn differential_calibration_accelerator_loads_match_traced_oracle() {
+        let quant = QuantConfig::default();
+        let check = |name: &str, layer: &LoadedLayer, (im, sm): (f64, &[f64])| {
+            assert_eq!(layer.probe_input_max().to_bits(), im.to_bits(), "{name}");
+            assert_eq!(bits(layer.probe_stage_max()), bits(sm), "{name}");
+            assert_eq!(layer.input_format(), oracle_format(&quant, im), "{name}");
+            let formats: Vec<QFormat> = sm.iter().map(|&m| oracle_format(&quant, m)).collect();
+            assert_eq!(layer.stage_formats(), &formats[..], "{name}");
+        };
+        for (name, matrix) in calibration_layers() {
+            let engine = CompactEngine::new(matrix.clone()).unwrap();
+            let n = engine.matrix().shape().num_cols();
+            let probes = probe_vectors(
+                quant.probe_seed,
+                quant.probe_count,
+                n,
+                quant.probe_amplitude,
+            )
+            .unwrap();
+            let (im, sm, _) = traced_maxima(&engine, &probes);
+            let loaded = accel().load_layer(matrix).unwrap();
+            check(name, &loaded, (im, &sm));
+        }
+        let fc6 = TtShape::uniform_rank(vec![4; 6], vec![2, 7, 8, 8, 7, 4], 4).unwrap();
+        let fc7 = TtShape::uniform_rank(vec![4; 6], vec![4; 6], 4).unwrap();
+        let small = |m: Vec<usize>, n: Vec<usize>, r| TtShape::uniform_rank(m, n, r).unwrap();
+        let stacks = [
+            vec![random_layer(270, &fc6), random_layer(271, &fc7)],
+            vec![
+                random_layer(272, &small(vec![6], vec![9], 1)),
+                random_layer(273, &small(vec![1, 3, 4], vec![3, 1, 2], 2)),
+                random_layer(274, &small(vec![2, 2, 2], vec![4, 1, 3], 1)),
+            ],
+        ];
+        for stack in stacks {
+            let net = accel().load_network(stack.clone()).unwrap();
+            let n0 = stack[0].shape().num_cols();
+            let count = quant.probe_count;
+            let mut traced =
+                probe_vectors(quant.probe_seed, count, n0, quant.probe_amplitude).unwrap();
+            let mut fused: Vec<f64> = traced.iter().flat_map(|p| p.data().to_vec()).collect();
+            for (l, (matrix, layer)) in stack.into_iter().zip(net.layers()).enumerate() {
+                let engine = CompactEngine::new(matrix).unwrap();
+                let shape = engine.matrix().shape();
+                let (n, m) = (shape.num_cols(), shape.num_rows());
+                let (im, sm, outputs) = traced_maxima(&engine, &traced);
+                check(&format!("{shape} layer {l}"), layer, (im, &sm));
+                let mut chained = vec![0.0f64; count * m];
+                let copy = |i: usize, x: &mut [f64]| x.copy_from_slice(&fused[i * n..][..n]);
+                probe_maxima(&engine, count, copy, Some(&mut chained)).unwrap();
+                let want: Vec<f64> = outputs.iter().flat_map(|y| y.data().to_vec()).collect();
+                assert_eq!(bits(&chained), bits(&want), "layer {l} probe outputs");
+                traced = outputs;
+                fused = chained;
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! stage's layout through the composed affine map of
 //! [`tie_core::indexmap`].
 
-use crate::accelerator::{probe_maxima, probe_vectors};
+use crate::accelerator::{probe_maxima, ProbeRng};
 use crate::config::QuantConfig;
 use std::sync::Mutex;
 use tie_core::indexmap::{assemble_dest_map, prepare_copy_plan, stage_dest_map, CopyPlan};
@@ -138,14 +138,11 @@ impl QuantizedEngine {
         }
 
         let (input_max, stage_max) = if quant.calibrate_activations && quant.probe_count > 0 {
-            let probes = probe_vectors(
-                quant.probe_seed,
-                quant.probe_count,
-                shape.num_cols(),
-                quant.probe_amplitude,
-            )?;
-            let (im, sm, _) = probe_maxima(&reference, &probes)?;
-            (im, sm)
+            // Each probe is drawn, in the generator's order, into one
+            // reused buffer; the outputs are not kept.
+            let mut rng = ProbeRng::new(quant.probe_seed);
+            let fill = |_: usize, x: &mut [f64]| rng.fill(x, quant.probe_amplitude);
+            probe_maxima(&reference, quant.probe_count, fill, None)?
         } else {
             (0.0, vec![0.0f64; d])
         };

@@ -1,7 +1,7 @@
 //! Saturation-validated quantized construction: the margin re-probe loop.
 //!
-//! One-shot calibration ([`crate::CalibrationMode::OneShot`]) chooses
-//! activation formats from a seeded probe set scaled by
+//! One-shot calibration ([`crate::QuantConfig::calibrate_activations`])
+//! chooses activation formats from a seeded probe set scaled by
 //! `QuantConfig::probe_margin`. That margin is a bet: inputs the probes
 //! never saw may still overflow the chosen formats, and the only honest
 //! check is to *measure* saturation on a **distinct** validation probe set

@@ -69,7 +69,7 @@ pub mod tile;
 pub use error::TensorError;
 pub use scalar::Scalar;
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{max_abs, Tensor};
 
 /// Convenience result alias used across the tensor substrate.
 pub type Result<T, E = TensorError> = std::result::Result<T, E>;

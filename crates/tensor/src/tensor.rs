@@ -1,5 +1,30 @@
 use crate::{Result, Scalar, Shape, TensorError};
 
+/// Largest absolute element of `data`, in `f64`; `0.0` when `data` is
+/// empty or all NaN.
+///
+/// Bit-identical to the sequential fold `fold(0.0, f64::max)` over
+/// `|v|`, but split over independent accumulators so the scan is not
+/// bound by the latency of one dependent `max` chain. The order cannot
+/// matter: every `|v|` is `+0.0` or above (or NaN, which `f64::max`
+/// skips), and the maximum of such a set does not depend on how it is
+/// grouped.
+pub fn max_abs<T: Scalar>(data: &[T]) -> f64 {
+    const LANES: usize = 8;
+    let mut acc = [0.0f64; LANES];
+    let mut chunks = data.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (a, v) in acc.iter_mut().zip(chunk) {
+            *a = a.max(v.to_f64().abs());
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0, |m: f64, v| m.max(v.to_f64().abs()));
+    acc.into_iter().fold(tail, f64::max)
+}
+
 /// An owned, row-major, `d`-dimensional dense array.
 ///
 /// `Tensor` is the universal data container in the workspace: weight
@@ -442,12 +467,9 @@ impl<T: Scalar> Tensor<T> {
             .sqrt()
     }
 
-    /// Largest absolute element, in `f64`.
+    /// Largest absolute element, in `f64` (see [`max_abs`]).
     pub fn max_abs(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|v| v.to_f64().abs())
-            .fold(0.0, f64::max)
+        max_abs(&self.data)
     }
 
     /// Index (flat) and value of the maximum element.
@@ -616,6 +638,60 @@ mod tests {
         assert_eq!(t.max_abs(), 4.0);
         assert_eq!(t.argmax(), (0, 3.0));
         assert_eq!(t.sum(), -1.0);
+    }
+
+    /// The accumulator-split scan against the sequential fold it
+    /// replaced, bit for bit, on every special value and on lengths
+    /// around multiples of the accumulator count.
+    #[test]
+    fn differential_max_abs_matches_sequential_fold() {
+        let fold = |d: &[f64]| d.iter().map(|v| v.abs()).fold(0.0, f64::max);
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 3.0,
+            -f64::MAX,
+            1.5,
+            -2.25,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..=35 {
+            for round in 0..24usize {
+                let data: Vec<f64> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let pick = (state >> 32) as usize;
+                        // Every third round is all special values; the
+                        // rest are ordinary with a special one here and
+                        // there.
+                        if round.is_multiple_of(3) || pick.is_multiple_of(7) {
+                            special[pick % special.len()]
+                        } else {
+                            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                        }
+                    })
+                    .collect();
+                let want = fold(&data);
+                assert_eq!(max_abs(&data).to_bits(), want.to_bits(), "{data:?}");
+                let single: Vec<f32> = data.iter().map(|&v| v as f32).collect();
+                let want32 = single
+                    .iter()
+                    .map(|v| f64::from(*v).abs())
+                    .fold(0.0, f64::max);
+                assert_eq!(max_abs(&single).to_bits(), want32.to_bits());
+            }
+        }
+        // All-NaN and all-negative-zero inputs keep the fold's +0.0.
+        assert_eq!(max_abs(&[f64::NAN; 19]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(max_abs(&[-0.0f64; 9]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(max_abs::<f64>(&[]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

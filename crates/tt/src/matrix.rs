@@ -221,10 +221,15 @@ impl<T: Scalar> TtMatrix<T> {
 
     /// Single matrix element `W(i, j)` via the slice-product chain.
     ///
+    /// Allocation-free for ranks up to 32: the mode digits are peeled off
+    /// as the chain walks the cores, and the running row vector ping-pongs
+    /// between two stack buffers.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] for bad indices.
     pub fn get(&self, i: usize, j: usize) -> Result<T> {
+        const STACK_RANK: usize = 32;
         let (rows, cols) = (self.shape.num_rows(), self.shape.num_cols());
         if i >= rows || j >= cols {
             return Err(TensorError::IndexOutOfBounds {
@@ -232,31 +237,51 @@ impl<T: Scalar> TtMatrix<T> {
                 shape: vec![rows, cols],
             });
         }
-        let iks = decompose_index(i, &self.shape.row_modes);
-        let jks = decompose_index(j, &self.shape.col_modes);
-        let mut v = vec![T::ONE];
-        for (k, core) in self.cores.iter().enumerate() {
+        let r = self.shape.max_rank();
+        if r <= STACK_RANK {
+            let mut bufs = [[T::ZERO; STACK_RANK]; 2];
+            let [v, next] = &mut bufs;
+            Ok(self.slice_chain(i, j, v, next))
+        } else {
+            Ok(self.slice_chain(i, j, &mut vec![T::ZERO; r], &mut vec![T::ZERO; r]))
+        }
+    }
+
+    /// The body of [`TtMatrix::get`] for in-range `(i, j)`, on two
+    /// scratch buffers of at least the maximum rank. Each entry of the
+    /// running vector sums over `a` in ascending order, skipping zeros.
+    fn slice_chain<'a>(&self, i: usize, j: usize, mut v: &'a mut [T], mut next: &'a mut [T]) -> T {
+        // Mixed-radix digits, most significant (core 0) first: the place
+        // value of mode k is the product of the modes after it.
+        let (mut i_place, mut j_place) = (self.shape.num_rows(), self.shape.num_cols());
+        v[0] = T::ONE;
+        let mut len = 1;
+        for core in &self.cores {
             let [r0, m, n, r1] = [
                 core.dims()[0],
                 core.dims()[1],
                 core.dims()[2],
                 core.dims()[3],
             ];
+            debug_assert_eq!(len, r0);
+            i_place /= m;
+            j_place /= n;
+            let (ik, jk) = ((i / i_place) % m, (j / j_place) % n);
             let d = core.data();
-            let mut next = vec![T::ZERO; r1];
-            for (a, &va) in v.iter().enumerate() {
+            next[..r1].fill(T::ZERO);
+            for (a, &va) in v[..len].iter().enumerate() {
                 if va == T::ZERO {
                     continue;
                 }
-                let base = ((a * m + iks[k]) * n + jks[k]) * r1;
-                for (b, nb) in next.iter_mut().enumerate() {
-                    *nb += va * d[base + b];
+                let base = ((a * m + ik) * n + jk) * r1;
+                for (nb, &g) in next[..r1].iter_mut().zip(&d[base..base + r1]) {
+                    *nb += va * g;
                 }
             }
-            debug_assert_eq!(v.len(), r0);
-            v = next;
+            std::mem::swap(&mut v, &mut next);
+            len = r1;
         }
-        Ok(v[0])
+        v[0]
     }
 
     /// Reconstructs the dense `M × N` matrix (validation / small layers).
@@ -496,6 +521,64 @@ mod tests {
         }
         assert!(tt.get(6, 0).is_err());
         assert!(tt.get(0, 6).is_err());
+    }
+
+    /// `get` against the allocating slice-product chain it replaced, bit
+    /// for bit: on stack-sized ranks, on a rank past the stack buffers,
+    /// with unit modes, and with zero core entries that the chain skips.
+    #[test]
+    fn differential_get_matches_allocating_chain() {
+        fn chain(tt: &TtMatrix<f64>, i: usize, j: usize) -> f64 {
+            let iks = decompose_index(i, &tt.shape.row_modes);
+            let jks = decompose_index(j, &tt.shape.col_modes);
+            let mut v = vec![1.0];
+            for (k, core) in tt.cores.iter().enumerate() {
+                let [_, m, n, r1] = [
+                    core.dims()[0],
+                    core.dims()[1],
+                    core.dims()[2],
+                    core.dims()[3],
+                ];
+                let mut next = vec![0.0; r1];
+                for (a, &va) in v.iter().enumerate() {
+                    if va == 0.0 {
+                        continue;
+                    }
+                    let base = ((a * m + iks[k]) * n + jks[k]) * r1;
+                    for (b, nb) in next.iter_mut().enumerate() {
+                        *nb += va * core.data()[base + b];
+                    }
+                }
+                v = next;
+            }
+            v[0]
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        for (m, n, r) in [
+            (vec![2, 3, 2], vec![3, 1, 2], 4),
+            (vec![3, 2], vec![2, 3], 40),
+            (vec![5], vec![7], 1),
+            (vec![1, 2, 1], vec![2, 1, 1], 3),
+        ] {
+            let shape = TtShape::uniform_rank(m, n, r).unwrap();
+            let mut tt = TtMatrix::<f64>::random(&mut rng, &shape, 1.0).unwrap();
+            for core in &mut tt.cores {
+                for (e, v) in core.data_mut().iter_mut().enumerate() {
+                    if e % 5 == 0 {
+                        *v = 0.0;
+                    }
+                }
+            }
+            for i in 0..shape.num_rows() {
+                for j in 0..shape.num_cols() {
+                    assert_eq!(
+                        tt.get(i, j).unwrap().to_bits(),
+                        chain(&tt, i, j).to_bits(),
+                        "{shape} at ({i},{j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

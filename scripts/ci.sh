@@ -56,18 +56,22 @@ done
 # builds vectorize the register-tiled Gram, Aᵀ·B and Jacobi kernels
 # differently from debug ones, so the golden compile fixture and the
 # kernel differentials also run with --release, at both thread settings,
-# with the fused-unfolding gather's differential (`tie-tt`) and the
-# compile's heap bound (`tests/compile_heap.rs`).
+# with the fused-unfolding gather's differential (`tie-tt`), the
+# compile's heap bound (`tests/compile_heap.rs`) and the calibration
+# differential (`tie-sim`: the fused probe pass against the traced oracle,
+# DESIGN.md §12.2).
 echo "== tier-2: golden compile + kernel differentials --release, TIE_THREADS=1 =="
 TIE_THREADS=1 cargo test -q --release --test golden "${CARGO_FLAGS[@]}" golden_compile
 TIE_THREADS=1 cargo test -q --release -p tie-tensor --lib "${CARGO_FLAGS[@]}" differential_
 TIE_THREADS=1 cargo test -q --release -p tie-tt --lib "${CARGO_FLAGS[@]}" differential_
 TIE_THREADS=1 cargo test -q --release --test compile_heap "${CARGO_FLAGS[@]}"
+TIE_THREADS=1 cargo test -q --release -p tie-sim --lib "${CARGO_FLAGS[@]}" differential_calibration
 echo "== tier-2: golden compile + kernel differentials --release, default thread count =="
 cargo test -q --release --test golden "${CARGO_FLAGS[@]}" golden_compile
 cargo test -q --release -p tie-tensor --lib "${CARGO_FLAGS[@]}" differential_
 cargo test -q --release -p tie-tt --lib "${CARGO_FLAGS[@]}" differential_
 cargo test -q --release --test compile_heap "${CARGO_FLAGS[@]}"
+cargo test -q --release -p tie-sim --lib "${CARGO_FLAGS[@]}" differential_calibration
 
 # Compile-path acceptance (PR 3, DESIGN.md §10.5): VGG-FC6 at paper scale
 # must compile into a registered engine within the wall-clock budget and

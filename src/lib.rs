@@ -31,7 +31,7 @@
 //! // 2. The compact inference scheme (the paper's contribution).
 //! let engine = CompactEngine::new(ttm.clone())?;
 //! // Normalized activations: the accelerator's one-shot fixed-point
-//! // calibration (see `tie::sim::CalibrationMode`) probes at unit
+//! // calibration (see `tie::sim::QuantConfig`) probes at unit
 //! // amplitude by default.
 //! let x = Tensor::<f64>::from_fn(vec![12], |i| i[0] as f64 / 11.0)?;
 //! let (y, ops) = engine.matvec(&x)?;

@@ -11,8 +11,7 @@
 //! pool sizes {1, 2, 8}.
 //!
 //! The suite also holds the one-shot calibration to its "zero float work
-//! on the hot path" promise via the accelerator's calibration-trace
-//! counter.
+//! on the hot path" promise via the accelerator's probe-pass counter.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -21,7 +20,6 @@ use tie::prelude::*;
 use tie::quant::{
     alignment, qmatmul, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped, QMatmulReport, QuantPath,
 };
-use tie::sim::{CalibrationMode, QuantConfig};
 use tie::tensor::linalg::DestMap;
 use tie::tensor::tile::{
     stream_gemm, Activation, Epilogue, PortableTile, Requant, RequantRelu, RowMajor,
@@ -321,10 +319,10 @@ fn fc7_quantized_batch_runs_within_budget() {
     );
 }
 
-/// One-shot calibration does all its float tracing at load time and none
-/// afterwards: the trace counter moves by exactly `probe_count` during
-/// `load_layer` and stays frozen over any number of `run_batch` calls.
-/// Under the legacy per-batch mode the same counter keeps climbing.
+/// One-shot calibration does all its float work at load time and none
+/// afterwards: the probe-pass counter moves by exactly `probe_count`
+/// during `load_layer` and stays frozen over any number of `run_batch`
+/// calls.
 #[test]
 fn one_shot_calibration_traces_only_at_load() {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
@@ -334,7 +332,7 @@ fn one_shot_calibration_traces_only_at_load() {
 
     let mut tie = TieAccelerator::new(TieConfig::default()).unwrap();
     assert_eq!(tie.calibration_traces(), 0);
-    let layer = tie.load_layer(ttm.clone()).unwrap();
+    let layer = tie.load_layer(ttm).unwrap();
     let probes = TieConfig::default().quant.probe_count as u64;
     assert_eq!(
         tie.calibration_traces(),
@@ -351,28 +349,4 @@ fn one_shot_calibration_traces_only_at_load() {
         probes,
         "steady-state run_batch must perform zero float reference traces"
     );
-
-    // Control: PerBatch keeps tracing on the hot path.
-    let cfg = TieConfig {
-        quant: QuantConfig {
-            calibration: CalibrationMode::PerBatch,
-            ..QuantConfig::default()
-        },
-        ..TieConfig::default()
-    };
-    let mut legacy = TieAccelerator::new(cfg).unwrap();
-    let layer = legacy.load_layer(ttm).unwrap();
-    assert_eq!(
-        legacy.calibration_traces(),
-        0,
-        "per-batch mode traces nothing at load"
-    );
-    for i in 1..=3u64 {
-        legacy.run_batch(&layer, &xs, false).unwrap();
-        assert_eq!(
-            legacy.calibration_traces(),
-            4 * i,
-            "per-batch mode must trace every sample of every batch"
-        );
-    }
 }

@@ -149,6 +149,57 @@ fn steady_state_quantized_engine_performs_no_heap_allocation() {
     );
 }
 
+/// One-shot calibration's probe pass (`matvec_max_abs_into`, run at
+/// width 1 as the calibration runs it) allocates nothing after its first
+/// probe: the workspace is grown once, and the max|·| scans and the
+/// unepilogued final stage run in place. On a Table 4 layout (LSTM-UCF11).
+#[test]
+fn probe_maxima_pass_allocates_nothing_after_its_first_probe() {
+    let mut rng = ChaCha8Rng::seed_from_u64(4245);
+    let shape = TtShape::uniform_rank(vec![4; 4], vec![8, 20, 20, 18], 4).unwrap();
+    let ttm = TtMatrix::<f64>::random(&mut rng, &shape, 0.3).unwrap();
+    let engine = CompactEngine::new(ttm).unwrap();
+    let (n, m) = (shape.num_cols(), shape.num_rows());
+    let probes: Vec<Tensor<f64>> = (0..8)
+        .map(|_| init::uniform(&mut rng, vec![n], 1.0))
+        .collect();
+    let mut y = vec![0.0f64; m];
+    let mut maxima = vec![0.0f64; shape.ndim() + 1];
+    tie::tensor::parallel::as_serial_executor(|| {
+        engine
+            .matvec_max_abs_into(probes[0].data(), &mut y, &mut maxima)
+            .unwrap();
+        let before = allocs_on_this_thread();
+        for p in &probes[1..] {
+            engine
+                .matvec_max_abs_into(p.data(), &mut y, &mut maxima)
+                .unwrap();
+        }
+        assert_eq!(
+            allocs_on_this_thread() - before,
+            0,
+            "probe passes after the first must not allocate"
+        );
+    });
+    assert!(maxima.iter().all(|&v| v > 0.0));
+}
+
+/// `TtMatrix::get`, which the compile's sampled error check calls once
+/// per sampled entry, allocates nothing at Table 4 ranks.
+#[test]
+fn tt_matrix_get_performs_no_heap_allocation() {
+    let mut rng = ChaCha8Rng::seed_from_u64(4246);
+    let shape = TtShape::uniform_rank(vec![4; 6], vec![4; 6], 4).unwrap();
+    let ttm = TtMatrix::<f64>::random(&mut rng, &shape, 0.5).unwrap();
+    let before = allocs_on_this_thread();
+    let mut sum = 0.0;
+    for e in 0..256 {
+        sum += ttm.get(e * 13 % 4096, e * 29 % 4096).unwrap();
+    }
+    assert_eq!(allocs_on_this_thread() - before, 0, "get must not allocate");
+    assert!(sum.is_finite());
+}
+
 /// The pipeline-parallel executor preallocates every channel slab,
 /// ping-pong scratch, and park buffer at construction (sized by the
 /// micro-batch, not the batch), so a warmed `StagePipeline` run is
