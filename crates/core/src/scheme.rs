@@ -253,7 +253,7 @@ impl<T: Scalar> CompactEngine<T> {
             });
         }
         let mut y = Tensor::zeros(vec![self.matrix.shape().num_rows()]);
-        let count = self.run_batched(x.data(), 1, y.data_mut(), None)?;
+        let count = self.run_batched::<false>(x.data(), 1, y.data_mut(), &mut [])?;
         Ok((y, count))
     }
 
@@ -283,7 +283,7 @@ impl<T: Scalar> CompactEngine<T> {
                 right: vec![m],
             });
         }
-        self.run_batched(x, 1, y, None)
+        self.run_batched::<false>(x, 1, y, &mut [])
     }
 
     /// Batch-1 product `y = W x` on the fused pipeline that also records
@@ -321,7 +321,7 @@ impl<T: Scalar> CompactEngine<T> {
                 });
             }
         }
-        self.run_batched(x, 1, y, Some(maxima))
+        self.run_batched::<true>(x, 1, y, maxima)
     }
 
     /// Like [`CompactEngine::matvec`] but also returns every intermediate
@@ -373,7 +373,7 @@ impl<T: Scalar> CompactEngine<T> {
         }
         let b = xs.ncols()?; // ≥ 1: zero-sized tensors are unrepresentable
         let mut out = Tensor::zeros(vec![m, b]);
-        let count = self.run_batched(xs.data(), b, out.data_mut(), None)?;
+        let count = self.run_batched::<false>(xs.data(), b, out.data_mut(), &mut [])?;
         Ok((out, count))
     }
 
@@ -406,7 +406,7 @@ impl<T: Scalar> CompactEngine<T> {
             // No columns: no stages run, no weights streamed.
             return Ok(OpCount::default());
         }
-        self.run_batched(xs, b, ys, None)
+        self.run_batched::<false>(xs, b, ys, &mut [])
     }
 
     /// The legacy gather-table pipeline, kept as the **differential
@@ -472,15 +472,16 @@ impl<T: Scalar> CompactEngine<T> {
     /// `V'_h` layout (or, for the final stage, straight into `ys` in
     /// assembled order). No permutation pass, no transform intermediate.
     ///
-    /// With `maxima` (see [`CompactEngine::matvec_max_abs_into`]) each
-    /// written buffer is scanned for its max|·| and the final stage runs
-    /// without the bias and activation epilogue.
-    fn run_batched(
+    /// With `SCAN` (see [`CompactEngine::matvec_max_abs_into`]) each
+    /// written buffer is scanned for its max|·| into `maxima`, and the
+    /// final stage runs without the bias and activation epilogue. A const
+    /// parameter, so the serving instantiation carries none of it.
+    fn run_batched<const SCAN: bool>(
         &self,
         xs: &[T],
         b: usize,
         ys: &mut [T],
-        mut maxima: Option<&mut [f64]>,
+        maxima: &mut [f64],
     ) -> Result<OpCount> {
         debug_assert!(b > 0);
         let shape = self.matrix.shape();
@@ -503,8 +504,8 @@ impl<T: Scalar> CompactEngine<T> {
         let (mut cur, mut nxt) = (&mut ws.ping, &mut ws.pong);
         // Prepare the input (Eqn. (8)): minimal contiguous block copies.
         self.prep_plan.apply_batched(xs, cur, b);
-        if let Some(m) = maxima.as_deref_mut() {
-            m[0] = m[0].max(max_abs(&cur[..xs.len()]));
+        if SCAN {
+            maxima[0] = maxima[0].max(max_abs(&cur[..xs.len()]));
         }
         for (idx, h) in (1..=d).rev().enumerate() {
             let stage = &self.plan.stages()[idx];
@@ -516,7 +517,7 @@ impl<T: Scalar> CompactEngine<T> {
             // store — one store per element either way.
             let (out, bias, act) = if h >= 2 {
                 (&mut nxt[..rows * cols * b], None, Activation::Identity)
-            } else if maxima.is_some() {
+            } else if SCAN {
                 (&mut *ys, None, Activation::Identity)
             } else {
                 (&mut *ys, self.bias.as_deref(), self.activation)
@@ -533,8 +534,8 @@ impl<T: Scalar> CompactEngine<T> {
                 bias,
                 act,
             )?;
-            if let Some(m) = maxima.as_deref_mut() {
-                m[idx + 1] = m[idx + 1].max(max_abs(out));
+            if SCAN {
+                maxima[idx + 1] = maxima[idx + 1].max(max_abs(out));
             }
             std::mem::swap(&mut cur, &mut nxt);
             // Arithmetic scales with the batch; each core is streamed from

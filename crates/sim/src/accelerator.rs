@@ -437,8 +437,7 @@ impl TieAccelerator {
     /// Cycle-level reference executor: identical semantics (outputs,
     /// stats) to [`TieAccelerator::run_batch`], but every MAC is walked
     /// through the PE-array schedule one gather/broadcast at a time.
-    /// Kept as the differential oracle for the fast path and as the
-    /// before-side baseline of the quantized throughput bench.
+    /// Kept as the differential oracle for the fast path.
     #[doc(hidden)]
     pub fn run_batch_walk(
         &mut self,
