@@ -32,8 +32,9 @@ pub struct QuantConfig {
     pub probe_amplitude: f64,
     /// Headroom multiplier applied to probe maxima before format
     /// selection. One-shot formats must cover inputs the probes never
-    /// saw, so the margin is wide; the cost is only `log2(margin)` of the 16-bit depth (≈ 0.6 bits
-    /// at the default 1.5), leaving SQNR far above the 40 dB floor.
+    /// saw, so the margin is wide; the cost is only `log2(margin)` of the
+    /// 16-bit depth (≈ 0.6 bits at the default 1.5), leaving SQNR far
+    /// above the 40 dB floor.
     pub probe_margin: f64,
 }
 
